@@ -21,6 +21,7 @@ import (
 
 	"tesla/internal/control"
 	"tesla/internal/experiment"
+	"tesla/internal/model"
 	"tesla/internal/workload"
 )
 
@@ -322,8 +323,9 @@ func BenchmarkExtensionDeferral(b *testing.B) {
 	b.ReportMetric(study.Deferred.CoolingKWh, "CE_deferred_kWh")
 }
 
-// BenchmarkModelPredict measures the per-step cost of the DC time-series
-// model cascade — the inner loop of the controller.
+// BenchmarkModelPredict measures one full DC time-series model prediction:
+// Prepare plus one evaluation plus materializing the trajectories, the path
+// of the model-accuracy tables.
 func BenchmarkModelPredict(b *testing.B) {
 	art := benchArtifacts(b)
 	L := art.Model.Config().L
@@ -331,6 +333,7 @@ func BenchmarkModelPredict(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := art.Model.Predict(h, 25); err != nil {
@@ -338,6 +341,47 @@ func BenchmarkModelPredict(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkModelPrepare measures the history-only part of the cascade, run
+// once per control decision.
+func BenchmarkModelPrepare(b *testing.B) {
+	art := benchArtifacts(b)
+	L := art.Model.Config().L
+	h, err := historyFromTest(art, L)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := art.Model.Prepare(h); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkModelEval measures scoring one candidate set-point against a
+// prepared history — the optimizer's inner loop.
+func BenchmarkModelEval(b *testing.B) {
+	art := benchArtifacts(b)
+	L := art.Model.Config().L
+	h, err := historyFromTest(art, L)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prep, err := art.Model.Prepare(h)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evalSink = prep.Eval(20 + float64(i%16))
+	}
+}
+
+// evalSink keeps BenchmarkModelEval's result alive.
+var evalSink model.Score
 
 // BenchmarkControllerDecide measures one full TESLA control step (model +
 // error monitor + constrained-NEI BO + smoothing).
@@ -348,6 +392,7 @@ func BenchmarkControllerDecide(b *testing.B) {
 		b.Fatal(err)
 	}
 	test := art.Test
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step := art.Model.Config().L + i%(test.Len()-2*art.Model.Config().L)

@@ -13,8 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"tesla"
-	"tesla/internal/control"
 	"tesla/internal/dataset"
 	"tesla/internal/fleet"
 	"tesla/internal/parallel"
@@ -192,19 +190,18 @@ func (fd *fleetDaemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // runFleet is `teslad -rooms N`: N concurrent room control loops — each with
-// its own plant, TESLA policy and safety supervisor, seeded from the fleet
-// seed's per-room substreams — feeding the bounded-queue ingestion pipeline
+// its own plant, -policy controller and safety supervisor, seeded from the
+// fleet seed's per-room substreams — feeding the bounded-queue ingestion pipeline
 // whose rollup backs the /fleet, /rooms/{id} and /metrics endpoints. The
 // rooms drive their plants in-process (the Modbus/TSDB wire stack is the
 // single-room mode's job); what fleet mode exercises is the orchestration:
-// isolation, backpressure and aggregate observability.
-func runFleet(ctx context.Context, listen string, rooms, minutes int, speedup float64, seed uint64, dur durOptions) error {
-	fmt.Printf("teslad: training models (ci scale) for %d rooms...\n", rooms)
-	sys, err := tesla.PrepareWithBaselines(tesla.ScaleCI, false)
+// isolation, backpressure and aggregate observability. It returns every
+// room's final status.
+func runFleet(ctx context.Context, listen string, rooms, minutes int, speedup float64, seed uint64, policyName string, dur durOptions) ([]roomStatus, error) {
+	newPolicy, err := policyFactory(policyName)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	a := sys.Artifacts()
 
 	tbCfg := testbed.DefaultConfig()
 	specs := fleet.DiurnalSpecs(rooms, seed)
@@ -227,7 +224,7 @@ func runFleet(ctx context.Context, listen string, rooms, minutes int, speedup fl
 	mux.HandleFunc("/metrics", fd.handleMetrics)
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	httpSrv := &http.Server{Handler: mux}
 	srvErr := make(chan error, 1)
@@ -246,28 +243,26 @@ func runFleet(ctx context.Context, listen string, rooms, minutes int, speedup fl
 	ingG.Go(func() { ing.Run(stopIng, time.Millisecond) })
 	_, err = parallel.MapErr(rooms, rooms, func(i int) (struct{}, error) {
 		return struct{}{}, fd.runRoom(ctx, roomLoopConfig{
-			idx:     i,
-			tbCfg:   tbCfg,
-			profile: specs[i].Profile,
-			seed:    seed,
-			minutes: minutes,
-			speedup: speedup,
-			dur:     dur,
-			newPolicy: func(room int, polSeed uint64) (control.Policy, error) {
-				return a.NewTESLAPolicy(polSeed)
-			},
+			idx:       i,
+			tbCfg:     tbCfg,
+			profile:   specs[i].Profile,
+			seed:      seed,
+			minutes:   minutes,
+			speedup:   speedup,
+			dur:       dur,
+			newPolicy: newPolicy,
 		}, queues[i])
 	})
 	close(stopIng)
 	ingG.Wait()
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	r := ing.Rollup()
 	fmt.Printf("teslad: fleet done: %d rooms, %d samples ingested / %d dropped (%d gaps), maxCold=%.2f°C, %d violation minutes, %.2f kWh\n",
 		r.Rooms, r.Samples, r.Dropped, r.Gaps, r.MaxColdC, r.ViolationMin, r.CoolingKWh)
-	return nil
+	return fd.snapshotRooms(), nil
 }
 
 // roomLoopConfig carries one room loop's wiring.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -139,5 +140,29 @@ func TestFleetMetricsExposeLossCounters(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)
 		}
+	}
+}
+
+// TestRunFleetHonoursPolicy runs `teslad -rooms 2 -policy fixed` end to end.
+// Fleet mode used to ignore -policy and train and run TESLA in every room;
+// the fixed controller must hold 23 °C in each room, with no supervisor
+// override needed, and boot without training.
+func TestRunFleetHonoursPolicy(t *testing.T) {
+	const minutes = 10
+	rooms, err := runFleet(context.Background(), "127.0.0.1:0", 2, minutes, 0, 11, "fixed", durOptions{})
+	if err != nil {
+		t.Fatalf("runFleet: %v", err)
+	}
+	if len(rooms) != 2 {
+		t.Fatalf("got %d rooms, want 2", len(rooms))
+	}
+	for _, rs := range rooms {
+		if rs.StepMinutes != minutes || rs.SetpointC != 23 || rs.Overrides != 0 {
+			t.Fatalf("room %s: %d steps, set-point %g °C, %d overrides; want %d steps at 23 °C, no overrides",
+				rs.Name, rs.StepMinutes, rs.SetpointC, rs.Overrides, minutes)
+		}
+	}
+	if _, err := runFleet(context.Background(), "127.0.0.1:0", 2, minutes, 0, 11, "bogus", durOptions{}); err == nil {
+		t.Fatal("unknown -policy must be rejected in fleet mode")
 	}
 }

@@ -31,7 +31,7 @@
 // intelligent-P) boot cold.
 //
 // -rooms N (N > 1) switches to fleet mode: N concurrent room control loops —
-// heterogeneous diurnal loads, per-room TESLA policies and safety
+// heterogeneous diurnal loads, per-room -policy controllers and safety
 // supervisors seeded from per-room substreams of -seed — feed a bounded
 // per-room telemetry queue pipeline whose rollup backs the fleet endpoints.
 //
@@ -143,7 +143,7 @@ func main() {
 	} else if *schedMode != "" {
 		err = runSchedFleet(ctx, *listen, *rooms, *minutes, *speedup, *seed, *policyName, *schedMode, dur)
 	} else if *rooms > 1 {
-		err = runFleet(ctx, *listen, *rooms, *minutes, *speedup, *seed, dur)
+		_, err = runFleet(ctx, *listen, *rooms, *minutes, *speedup, *seed, *policyName, dur)
 	} else {
 		err = run(ctx, *listen, *loadName, *policyName, *minutes, *speedup, *seed, dur, *inputs,
 			ingestOptions{gatherEvery: *gatherEvery, compactEvery: *compactEvery})

@@ -133,9 +133,6 @@ func (a *ACU) SetSetpoint(c float64) float64 {
 // command. The fan floor keeps drawing, so the unit reports Interrupted.
 func (a *ACU) ForceInterruption(on bool) { a.forcedOff = on }
 
-// ForcedInterruption reports whether a forced interruption is active.
-func (a *ACU) ForcedInterruption() bool { return a.forcedOff }
-
 // SetLatchFailed wedges (or frees) the set-point latch.
 func (a *ACU) SetLatchFailed(on bool) { a.latchFailed = on }
 
@@ -154,9 +151,6 @@ func (a *ACU) SetCapacityFactor(f float64) {
 	}
 	a.capacityFactor = f
 }
-
-// CapacityFactor returns the current cooling derating factor.
-func (a *ACU) CapacityFactor() float64 { return a.capacityFactor }
 
 // Setpoint returns the currently latched set-point.
 func (a *ACU) Setpoint() float64 { return a.setpointC }

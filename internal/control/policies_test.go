@@ -210,3 +210,48 @@ func TestLazicPicksBoundaryAndBacksOff(t *testing.T) {
 		t.Fatalf("pre-history Lazic decision %g", got)
 	}
 }
+
+// TestTESLALogsTheEvaluatedScore checks that the prediction a decision logs
+// for maturation is the optimizer's own evaluation of the chosen set-point,
+// bit for bit equal to a fresh model prediction there — on feasible
+// decisions and on the S_min backstop.
+func TestTESLALogsTheEvaluatedScore(t *testing.T) {
+	m := smallModel(t, 4)
+	tr := learnableTrace(40, 5)
+	L := m.Config().L
+	for _, margin := range []float64{0.45, 100} {
+		cfg := fastTESLAConfig()
+		cfg.ConstraintMarginC = margin // 100 °C leaves nothing feasible
+		ctrl, err := NewTESLA(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := L; step < 30; step++ {
+			ctrl.Decide(tr, step)
+			res := ctrl.LastResult()
+			if res == nil {
+				t.Fatalf("step %d: no optimizer result", step)
+			}
+			if margin == 100 && (res.Feasible || res.X != cfg.BO.Min) {
+				t.Fatalf("step %d: expected the S_min backstop, got %+v", step, res.X)
+			}
+			if _, ok := ctrl.scoreOf(res.X); !ok {
+				t.Fatalf("step %d: chosen set-point %g was never evaluated", step, res.X)
+			}
+			h, err := model.HistoryAt(tr, step, L)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := m.Predict(h, res.X)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := ctrl.pending[len(ctrl.pending)-1]
+			wantObj := p.EnergyNorm + cfg.InterruptionWeight*p.InterruptionNorm
+			wantCold := p.Constraint + m.Config().AllowedColdC
+			if got.decidedAt != step || got.predObj != wantObj || got.predMaxCold != wantCold {
+				t.Fatalf("step %d: logged %+v, fresh prediction obj=%v maxCold=%v", step, got, wantObj, wantCold)
+			}
+		}
+	}
+}

@@ -92,6 +92,7 @@ type TESLA struct {
 
 	lastResult *bo.Result
 	lastRaw    float64
+	scored     []scoredSetpoint // this decision's evaluations, reused
 	step       uint64
 	diag       Diagnostics
 }
@@ -162,15 +163,20 @@ func (t *TESLA) Decide(tr *dataset.Trace, step int) float64 {
 		conVar = t.cfg.DefaultConVar
 	}
 
+	// The history-only part of the model cascade is shared by every
+	// candidate; each evaluation adds only the set-point-dependent terms.
+	prep, perr := t.model.Prepare(h)
+	t.scored = t.scored[:0]
 	eval := func(x float64) bo.Evaluation {
-		p, perr := t.model.Predict(h, x)
 		if perr != nil {
-			// Should be impossible after ValidateHistory; degrade to an
-			// evaluation the optimizer will treat as infeasible.
+			// The trace's sensor counts differ from the model's; degrade
+			// to an evaluation the optimizer will treat as infeasible.
 			return bo.Evaluation{X: x, Obj: 1e6, Con: 1e6, ObjNoiseVar: objVar, ConNoiseVar: conVar}
 		}
-		obj := p.EnergyNorm + t.cfg.InterruptionWeight*p.InterruptionNorm
-		con := p.Constraint + t.cfg.ConstraintMarginC
+		s := prep.Eval(x)
+		t.scored = append(t.scored, scoredSetpoint{x, s})
+		obj := s.EnergyNorm + t.cfg.InterruptionWeight*s.InterruptionNorm
+		con := s.Constraint + t.cfg.ConstraintMarginC
 		// Modeling-error awareness (Figure 7): the bootstrap over the
 		// monitor's error window yields the distribution of Ô and Ĉ around
 		// the truth; its mean recenters the observation (prediction error is
@@ -201,16 +207,37 @@ func (t *TESLA) Decide(tr *dataset.Trace, step int) float64 {
 	t.lastRaw = res.X
 
 	// Log the prediction made for the chosen set-point so its error can be
-	// measured once the horizon elapses.
-	if p, perr := t.model.Predict(h, res.X); perr == nil {
-		maxCold := p.Constraint + t.model.Config().AllowedColdC
+	// measured once the horizon elapses. The optimizer recommends one of the
+	// points it evaluated (the S_min backstop is its first), so the score is
+	// already at hand.
+	if perr == nil {
+		s, ok := t.scoreOf(res.X)
+		if !ok {
+			s = prep.Eval(res.X)
+		}
 		t.pending = append(t.pending, pendingPrediction{
 			decidedAt:   step,
-			predObj:     p.EnergyNorm + t.cfg.InterruptionWeight*p.InterruptionNorm,
-			predMaxCold: maxCold,
+			predObj:     s.EnergyNorm + t.cfg.InterruptionWeight*s.InterruptionNorm,
+			predMaxCold: s.Constraint + t.model.Config().AllowedColdC,
 		})
 	}
 	return t.smooth.Push(res.X)
+}
+
+// scoredSetpoint is one candidate the optimizer evaluated this decision.
+type scoredSetpoint struct {
+	x float64
+	s model.Score
+}
+
+// scoreOf returns the model score of a set-point evaluated this decision.
+func (t *TESLA) scoreOf(x float64) (model.Score, bool) {
+	for _, e := range t.scored {
+		if e.x == x {
+			return e.s, true
+		}
+	}
+	return model.Score{}, false
 }
 
 // LastComputed returns the optimizer's raw (pre-smoothing) set-point.

@@ -67,7 +67,7 @@ type InputStats struct {
 }
 
 // Sink is the counted path into the TSDB. Every record an input presents
-// goes through AddLines/AddPoint/AddRef so the attempts/ingested/dropped
+// goes through AddLines or AddRef so the attempts/ingested/dropped
 // ledger is exact; inputs never write to the DB directly.
 type Sink struct {
 	db       *telemetry.DB
@@ -90,13 +90,6 @@ func (s *Sink) AddLines(batch string) (ok, rejected int, err error) {
 	s.ingested.Add(uint64(ok))
 	s.dropped.Add(uint64(rejected))
 	return ok, rejected, err
-}
-
-// AddPoint inserts one decoded point.
-func (s *Sink) AddPoint(measurement string, tags map[string]string, p telemetry.Point) {
-	s.attempts.Add(1)
-	s.db.Insert(measurement, tags, p)
-	s.ingested.Add(1)
 }
 
 // AddRef appends through a pre-resolved series reference — the allocation-

@@ -93,18 +93,7 @@ func (m *Model) Predict(x []float64) []float64 {
 	if len(x) != m.Weights.Rows {
 		panic(fmt.Sprintf("linreg: feature length %d, model expects %d", len(x), m.Weights.Rows))
 	}
-	out := make([]float64, len(m.Bias))
-	copy(out, m.Bias)
-	for k, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		wrow := m.Weights.Row(k)
-		for j, wv := range wrow {
-			out[j] += xv * wv
-		}
-	}
-	return out
+	return m.PredictInto(x, nil)
 }
 
 // PredictInto is Predict with a caller-provided output buffer.
@@ -114,16 +103,53 @@ func (m *Model) PredictInto(x, out []float64) []float64 {
 	}
 	out = out[:len(m.Bias)]
 	copy(out, m.Bias)
+	m.AddTerms(out, 0, x)
+	return out
+}
+
+// AddTerms adds the contribution of features first, first+1, … (values x)
+// to out, which holds the bias and whatever terms the caller summed before.
+// Zero-valued features are skipped, exactly as PredictInto skips them, so
+// summing a feature vector block by block reproduces PredictInto up to the
+// order in which the blocks are added.
+//
+// Four weight rows are applied per pass over out, which halves the loads and
+// stores of out against one row per pass. Each out[j] still receives its
+// terms one at a time in feature order, so the result is bit-identical to
+// the row-at-a-time loop.
+func (m *Model) AddTerms(out []float64, first int, x []float64) {
+	out = out[:len(m.Bias)]
+	k := 0
+	for ; k+4 <= len(x); k += 4 {
+		x0, x1, x2, x3 := x[k], x[k+1], x[k+2], x[k+3]
+		if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 {
+			m.addRows(out, first+k, x[k:k+4])
+			continue
+		}
+		w0 := m.Weights.Row(first + k)
+		w1 := m.Weights.Row(first + k + 1)[:len(w0)]
+		w2 := m.Weights.Row(first + k + 2)[:len(w0)]
+		w3 := m.Weights.Row(first + k + 3)[:len(w0)]
+		o := out[:len(w0)]
+		for j, v := range w0 {
+			o[j] = o[j] + x0*v + x1*w1[j] + x2*w2[j] + x3*w3[j]
+		}
+	}
+	m.addRows(out, first+k, x[k:])
+}
+
+// addRows is AddTerms one weight row at a time.
+func (m *Model) addRows(out []float64, first int, x []float64) {
 	for k, xv := range x {
 		if xv == 0 {
 			continue
 		}
-		wrow := m.Weights.Row(k)
+		wrow := m.Weights.Row(first + k)
+		o := out[:len(wrow)]
 		for j, wv := range wrow {
-			out[j] += xv * wv
+			o[j] += xv * wv
 		}
 	}
-	return out
 }
 
 // PredictBatch evaluates the model over every row of x, returning n×m.

@@ -175,3 +175,52 @@ func TestPredictionIsAffineProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAddTermsMatchesSequentialSum checks the four-rows-per-pass kernel
+// against the plain feature-order loop bit for bit, with zero features
+// scattered through x and every split of x into a leading and trailing
+// block.
+func TestAddTermsMatchesSequentialSum(t *testing.T) {
+	r := rng.New(21)
+	const d, m = 23, 7
+	w := mat.New(d, m)
+	for i := range w.Data {
+		w.Data[i] = r.Norm()
+	}
+	bias := make([]float64, m)
+	for j := range bias {
+		bias[j] = r.Norm()
+	}
+	model := &Model{Weights: w, Bias: bias}
+	x := make([]float64, d)
+	for trial := 0; trial < 50; trial++ {
+		for k := range x {
+			x[k] = r.Norm()
+			if r.Float64() < 0.15 {
+				x[k] = 0
+			}
+		}
+		want := append([]float64(nil), bias...)
+		for k, xv := range x {
+			if xv == 0 {
+				continue
+			}
+			for j := range want {
+				want[j] += xv * w.At(k, j)
+			}
+		}
+		for split := 0; split <= d; split++ {
+			got := append([]float64(nil), bias...)
+			model.AddTerms(got, 0, x[:split])
+			model.AddTerms(got, split, x[split:])
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("trial %d split %d: out[%d] = %v, sequential %v", trial, split, j, got[j], want[j])
+				}
+			}
+		}
+		if got := model.Predict(x); got[0] != want[0] || got[m-1] != want[m-1] {
+			t.Fatalf("Predict disagrees with the sequential sum")
+		}
+	}
+}

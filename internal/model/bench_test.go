@@ -17,8 +17,8 @@ func BenchmarkTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkPredict measures one cascade evaluation (ASP → ACU → DCS →
-// energy) — called ~15 times per control step by the optimizer.
+// BenchmarkPredict measures one full prediction (ASP → ACU → DCS →
+// energy): Prepare, one evaluation and the materialized trajectories.
 func BenchmarkPredict(b *testing.B) {
 	tr := syntheticTrace(700, 42)
 	train, _ := tr.Split(0.8)

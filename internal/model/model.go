@@ -139,25 +139,10 @@ type Prediction struct {
 	ACUTemps *mat.Dense
 	// DCTemps is L×Nd: d̂ per horizon step and DC sensor (°C).
 	DCTemps *mat.Dense
-	// EnergyKWh is Ê, the predicted cooling energy over the horizon.
-	EnergyKWh float64
-	// EnergyNorm is Ê on the min-max normalized scale the paper's
-	// optimization objective is computed in.
-	EnergyNorm float64
-	// Interruption is D̂, the cooling-interruption proxy (°C·steps, eq. 6).
-	Interruption float64
-	// InterruptionNorm is D̂ with residuals on the normalized temperature
-	// scale, commensurate with EnergyNorm.
-	InterruptionNorm float64
-	// Constraint is Ĉ = max cold-aisle prediction − d_allowed (eq. 9);
-	// negative means predicted-safe.
-	Constraint float64
+	// Score carries the horizon energy, interruption proxy and constraint;
+	// its Objective method is promoted onto the prediction.
+	Score
 }
-
-// Objective returns Ô = Ê + D̂ (eq. 8) on the normalized scale, the quantity
-// TESLA minimizes. Normalization makes the two terms commensurate, exactly
-// as in the paper where all data is min-max normalized before modeling.
-func (p *Prediction) Objective() float64 { return p.EnergyNorm + p.InterruptionNorm }
 
 // scaler holds the min-max normalization ranges per physical quantity
 // (temperatures share one range so sensor interdependencies keep their

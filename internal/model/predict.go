@@ -10,110 +10,248 @@ import (
 // Predict runs the full sub-module cascade for a candidate set-point held
 // constant over the horizon (the optimizer's shared-set-point constraint,
 // eq. 5): ASP → ACU → DCS → cooling energy, then derives the interruption
-// proxy D̂ (eqs. 6–7) and the thermal-safety constraint Ĉ (eq. 9).
+// proxy D̂ (eqs. 6–7) and the thermal-safety constraint Ĉ (eq. 9). It is
+// Prepare followed by one evaluation; callers scoring many set-points
+// against one history should Prepare once and call Eval per candidate.
 func (m *Model) Predict(h *History, setpoint float64) (*Prediction, error) {
-	sps := make([]float64, m.cfg.L)
-	for i := range sps {
-		sps[i] = setpoint
+	p, err := m.Prepare(h)
+	if err != nil {
+		return nil, err
 	}
-	return m.PredictSeq(h, sps)
+	p.Eval(setpoint)
+	return p.Prediction(), nil
 }
 
 // PredictSeq is Predict for an arbitrary set-point sequence s_{t+1..t+L};
 // model-accuracy evaluation on historical traces uses it with the actually
 // executed sequence.
 func (m *Model) PredictSeq(h *History, setpoints []float64) (*Prediction, error) {
+	p, err := m.Prepare(h)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.EvalSeq(setpoints); err != nil {
+		return nil, err
+	}
+	return p.Prediction(), nil
+}
+
+// Prepared is one history's share of the cascade: everything that does not
+// depend on the candidate set-point, computed once so that scoring a
+// candidate costs only the set-point-dependent terms. It owns the scratch
+// buffers its evaluations write into, so it is not safe for concurrent use;
+// the Model it came from stays read-only and may be shared freely.
+type Prepared struct {
+	m *Model
+
+	// pHatN is the ASP output p̂_{t+1..t+L} (normalized).
+	pHatN []float64
+	// acuBase and dcsBase hold, per horizon step, each stage's bias plus
+	// every history-only term (p̂ and the sensor lag windows). An evaluation
+	// adds the ACU sp column and the DCS â columns on top.
+	acuBase, dcsBase *mat.Dense
+
+	// Scratch written by each evaluation.
+	spConst      []float64  // Eval's constant set-point sequence
+	aHatN, dHatN *mat.Dense // normalized â and d̂ (L×Na, L×Nd)
+	xe           []float64  // cooling-energy features
+	eN           []float64  // cooling-energy output
+	last         Score      // most recent evaluation
+	lastSp       float64
+}
+
+// Score is what the optimizer needs from one candidate evaluation.
+type Score struct {
+	// EnergyKWh is Ê, the predicted cooling energy over the horizon.
+	EnergyKWh float64
+	// EnergyNorm is Ê on the min-max normalized scale the paper's
+	// optimization objective is computed in.
+	EnergyNorm float64
+	// Interruption is D̂, the cooling-interruption proxy (°C·steps, eq. 6).
+	Interruption float64
+	// InterruptionNorm is D̂ with residuals on the normalized temperature
+	// scale, commensurate with EnergyNorm.
+	InterruptionNorm float64
+	// Constraint is Ĉ = max cold-aisle prediction − d_allowed (eq. 9);
+	// negative means predicted-safe.
+	Constraint float64
+}
+
+// Objective returns Ô = Ê + D̂ (eq. 8) on the normalized scale, the quantity
+// TESLA minimizes. Normalization makes the two terms commensurate, exactly
+// as in the paper where all data is min-max normalized before modeling.
+func (s Score) Objective() float64 { return s.EnergyNorm + s.InterruptionNorm }
+
+// Prepare runs the history-only part of the cascade: the ASP sub-module
+// (eq. 1) and, for every horizon step, the history terms of the ACU (eq. 2)
+// and DCS (eq. 3) regressions.
+//
+// An evaluation adds the set-point-dependent columns after the history
+// block, while linreg.PredictInto sums features in layout order (set-point
+// columns first). The two orders differ only in floating-point rounding.
+func (m *Model) Prepare(h *History) (*Prepared, error) {
 	if err := m.ValidateHistory(h); err != nil {
 		return nil, err
 	}
-	if len(setpoints) != m.cfg.L {
-		return nil, fmt.Errorf("model: %d set-points for horizon %d", len(setpoints), m.cfg.L)
-	}
 	L, na, nd := m.cfg.L, m.na, m.nd
 	sc := m.scale
+	p := &Prepared{
+		m:       m,
+		pHatN:   make([]float64, L),
+		acuBase: mat.New(L, na),
+		dcsBase: mat.New(L, nd),
+		spConst: make([]float64, L),
+		aHatN:   mat.New(L, na),
+		dHatN:   mat.New(L, nd),
+		xe:      make([]float64, L+na*L),
+		eN:      make([]float64, 1),
+	}
 
 	// ASP (eq. 1): normalized past powers, newest first (j=0 → time t).
 	xp := make([]float64, L)
 	for j := 0; j < L; j++ {
 		xp[j] = sc.pow(h.AvgPower[L-1-j])
 	}
-	pHatN := m.asp.Predict(xp) // normalized p̂_{t+1..t+L}
+	m.asp.PredictInto(xp, p.pHatN)
 
-	// ACU (eq. 2) per step l.
-	spN := make([]float64, L)
-	for i, s := range setpoints {
-		spN[i] = sc.sp(s)
-	}
+	// ACU features are [sp, p̂, Na·L lag window]; the base takes every
+	// column but sp.
 	zAcu := make([]float64, na*L)
 	for a := 0; a < na; a++ {
 		for j := 0; j < L; j++ {
 			zAcu[a*L+j] = sc.temp(h.ACUTemps[a][L-1-j])
 		}
 	}
-	aHatN := mat.New(L, na)
-	xa := make([]float64, 2+na*L)
-	copy(xa[2:], zAcu)
-	for l := 1; l <= L; l++ {
-		xa[0] = spN[l-1]
-		xa[1] = pHatN[l-1]
-		m.acu[l-1].PredictInto(xa, aHatN.Row(l-1))
+	for l := 0; l < L; l++ {
+		row := p.acuBase.Row(l)
+		copy(row, m.acu[l].Bias)
+		m.acu[l].AddTerms(row, 1, p.pHatN[l:l+1])
+		m.acu[l].AddTerms(row, 2, zAcu)
 	}
 
-	// DCS (eq. 3) per step l, consuming the ACU predictions.
+	// DCS features are [p̂, Na â columns, Nd·L lag window]; the base takes
+	// every column but the â block.
 	zDC := make([]float64, nd*L)
 	for k := 0; k < nd; k++ {
 		for j := 0; j < L; j++ {
 			zDC[k*L+j] = sc.temp(h.DCTemps[k][L-1-j])
 		}
 	}
-	dHatN := mat.New(L, nd)
-	xd := make([]float64, 1+na+nd*L)
-	copy(xd[1+na:], zDC)
-	for l := 1; l <= L; l++ {
-		xd[0] = pHatN[l-1]
-		copy(xd[1:1+na], aHatN.Row(l-1))
-		m.dcs[l-1].PredictInto(xd, dHatN.Row(l-1))
-	}
-
-	// Cooling energy (eq. 4) from the shared set-point and the predicted
-	// inlet temperatures.
-	xe := make([]float64, L+na*L)
-	copy(xe, spN)
-	for a := 0; a < na; a++ {
-		for j := 0; j < L; j++ {
-			xe[L+a*L+j] = aHatN.At(j, a)
-		}
-	}
-	eN := m.energy.Predict(xe)[0]
-
-	// Denormalize into physical units.
-	p := &Prediction{Setpoint: setpoints[len(setpoints)-1]}
-	p.AvgPower = make([]float64, L)
 	for l := 0; l < L; l++ {
-		p.AvgPower[l] = sc.unPow(pHatN[l])
+		row := p.dcsBase.Row(l)
+		copy(row, m.dcs[l].Bias)
+		m.dcs[l].AddTerms(row, 0, p.pHatN[l:l+1])
+		m.dcs[l].AddTerms(row, 1+na, zDC)
 	}
-	p.ACUTemps = mat.New(L, na)
-	for l := 0; l < L; l++ {
-		for a := 0; a < na; a++ {
-			p.ACUTemps.Set(l, a, sc.unTemp(aHatN.At(l, a)))
-		}
-	}
-	p.DCTemps = mat.New(L, nd)
-	for l := 0; l < L; l++ {
-		for k := 0; k < nd; k++ {
-			p.DCTemps.Set(l, k, sc.unTemp(dHatN.At(l, k)))
-		}
-	}
-	p.EnergyKWh = sc.unEnergy(eN)
-	if p.EnergyKWh < 0 {
-		p.EnergyKWh = 0
-	}
-	p.EnergyNorm = sc.energy(p.EnergyKWh)
-
-	p.Interruption = m.interruption(setpoints, p.ACUTemps)
-	p.InterruptionNorm = p.Interruption / m.TempRangeC()
-	p.Constraint = m.constraint(p.DCTemps)
 	return p, nil
+}
+
+// Eval scores a set-point held constant over the horizon. It allocates
+// nothing; the full trajectories stay available through Prediction until the
+// next evaluation.
+func (p *Prepared) Eval(setpoint float64) Score {
+	for i := range p.spConst {
+		p.spConst[i] = setpoint
+	}
+	return p.eval(p.spConst)
+}
+
+// EvalSeq is Eval for an arbitrary set-point sequence s_{t+1..t+L}.
+func (p *Prepared) EvalSeq(setpoints []float64) (Score, error) {
+	if len(setpoints) != p.m.cfg.L {
+		return Score{}, fmt.Errorf("model: %d set-points for horizon %d", len(setpoints), p.m.cfg.L)
+	}
+	return p.eval(setpoints), nil
+}
+
+// eval adds the set-point-dependent terms to the prepared bases: the ACU sp
+// column, the DCS â columns and the cooling-energy sub-module (eq. 4).
+func (p *Prepared) eval(setpoints []float64) Score {
+	m := p.m
+	L, na := m.cfg.L, m.na
+	sc := m.scale
+
+	// The energy features start with the normalized set-points; the ACU
+	// stage reads them from there.
+	spN := p.xe[:L]
+	for i, s := range setpoints {
+		spN[i] = sc.sp(s)
+	}
+	for l := 0; l < L; l++ {
+		aRow := p.aHatN.Row(l)
+		copy(aRow, p.acuBase.Row(l))
+		m.acu[l].AddTerms(aRow, 0, spN[l:l+1])
+
+		dRow := p.dHatN.Row(l)
+		copy(dRow, p.dcsBase.Row(l))
+		m.dcs[l].AddTerms(dRow, 1, aRow)
+
+		for a, v := range aRow {
+			p.xe[L+a*L+l] = v
+		}
+	}
+	eN := m.energy.PredictInto(p.xe, p.eN)[0]
+
+	var s Score
+	s.EnergyKWh = sc.unEnergy(eN)
+	if s.EnergyKWh < 0 {
+		s.EnergyKWh = 0
+	}
+	s.EnergyNorm = sc.energy(s.EnergyKWh)
+
+	// Interruption proxy D̂ (eqs. 6–7): per horizon step, the residual
+	// s − avg(â) counts when it exceeds κ, signalling the PID controller
+	// would deliver cold air at a reduced or zero rate.
+	for l := 0; l < L; l++ {
+		var avg float64
+		for _, v := range p.aHatN.Row(l) {
+			avg += sc.unTemp(v)
+		}
+		avg /= float64(na)
+		if u := setpoints[l] - avg; u > m.cfg.KappaC {
+			s.Interruption += u
+		}
+	}
+	s.InterruptionNorm = s.Interruption / m.TempRangeC()
+
+	// Thermal-safety constraint Ĉ (eq. 9): how far the maximum predicted
+	// cold-aisle temperature over the horizon sits above d_allowed.
+	maxCold := -1e30
+	for l := 0; l < L; l++ {
+		row := p.dHatN.Row(l)
+		for _, k := range m.cfg.ColdIdx {
+			if v := sc.unTemp(row[k]); v > maxCold {
+				maxCold = v
+			}
+		}
+	}
+	s.Constraint = maxCold - m.cfg.AllowedColdC
+
+	p.last, p.lastSp = s, setpoints[L-1]
+	return s
+}
+
+// Prediction materializes the most recent evaluation in physical units. The
+// result owns its memory; later evaluations do not change it.
+func (p *Prepared) Prediction() *Prediction {
+	m := p.m
+	sc := m.scale
+	pr := &Prediction{Setpoint: p.lastSp, Score: p.last}
+	pr.AvgPower = make([]float64, len(p.pHatN))
+	for l, v := range p.pHatN {
+		pr.AvgPower[l] = sc.unPow(v)
+	}
+	pr.ACUTemps = unTempAll(sc, p.aHatN)
+	pr.DCTemps = unTempAll(sc, p.dHatN)
+	return pr
+}
+
+func unTempAll(sc scaler, x *mat.Dense) *mat.Dense {
+	out := mat.New(x.Rows, x.Cols)
+	for i, v := range x.Data {
+		out.Data[i] = sc.unTemp(v)
+	}
+	return out
 }
 
 // TempRangeC returns the min-max span of the temperature normalization.
@@ -137,40 +275,6 @@ func (m *Model) EnergyRangeKWh() float64 {
 // NormEnergy maps a physical energy (kWh over the horizon) onto the
 // normalized objective scale (for the error monitor's realized values).
 func (m *Model) NormEnergy(kwh float64) float64 { return m.scale.energy(kwh) }
-
-// interruption computes D̂ (eqs. 6–7): per horizon step, the residual
-// s − avg(â) counts when it exceeds κ, signalling the PID controller would
-// deliver cold air at a reduced or zero rate.
-func (m *Model) interruption(setpoints []float64, aHat *mat.Dense) float64 {
-	var d float64
-	for l := 0; l < m.cfg.L; l++ {
-		row := aHat.Row(l)
-		var avg float64
-		for _, v := range row {
-			avg += v
-		}
-		avg /= float64(len(row))
-		if u := setpoints[l] - avg; u > m.cfg.KappaC {
-			d += u
-		}
-	}
-	return d
-}
-
-// constraint computes Ĉ (eq. 9): how far the maximum predicted cold-aisle
-// temperature over the horizon sits above d_allowed.
-func (m *Model) constraint(dHat *mat.Dense) float64 {
-	maxCold := -1e30
-	for l := 0; l < m.cfg.L; l++ {
-		row := dHat.Row(l)
-		for _, k := range m.cfg.ColdIdx {
-			if row[k] > maxCold {
-				maxCold = row[k]
-			}
-		}
-	}
-	return maxCold - m.cfg.AllowedColdC
-}
 
 // HistoryAt extracts the inference history ending at step t of a trace.
 func HistoryAt(tr *dataset.Trace, t, L int) (*History, error) {

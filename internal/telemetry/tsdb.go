@@ -162,15 +162,6 @@ type SeriesRef struct{ s *memSeries }
 // Append inserts one point through the resolved handle.
 func (r SeriesRef) Append(p Point) { r.s.insert(p) }
 
-// AppendBatch inserts a batch under one lock acquisition.
-func (r SeriesRef) AppendBatch(pts []Point) {
-	r.s.mu.Lock()
-	for _, p := range pts {
-		r.s.insertLocked(p)
-	}
-	r.s.mu.Unlock()
-}
-
 func (s *memSeries) insert(p Point) {
 	s.mu.Lock()
 	s.insertLocked(p)

@@ -237,9 +237,6 @@ func (a *Array) FailDC(i int, stuckAtC float64) {
 	a.DC[i].StuckAt = stuckAtC
 }
 
-// RestoreDC clears a DC sensor fault.
-func (a *Array) RestoreDC(i int) { a.DC[i].ClearFault() }
-
 // MaxColdAisle returns the maximum reading among cold-aisle sensors. NaN
 // readings (dropped-out probes) are skipped; if every cold-aisle probe is
 // out, the result is NaN.
