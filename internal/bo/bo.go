@@ -96,10 +96,13 @@ func Optimize(cfg Config, eval Evaluator) (*Result, error) {
 	}
 	r := rng.New(cfg.Seed)
 
-	// Incremental surrogates: each new evaluation is appended to the fitters,
-	// which retain per-grid-cell Cholesky factors so the per-iteration refit
-	// extends them in O(n²) instead of refactorizing from scratch.
-	sur := newSurrogates()
+	// Incremental surrogates: each new evaluation is appended to one fitter
+	// for both targets, which retains per-grid-cell Cholesky factors so the
+	// per-iteration refit extends them in O(n²) instead of refactorizing from
+	// scratch, and one kernel store, so every Matérn value of the run is
+	// computed once. The GPs it returns are views reused across iterations;
+	// only the final pair is snapshotted into the Result.
+	sur := newSurrogates(cfg.InitPoints + cfg.Iterations)
 
 	// Initial design: scrambled Sobol over the domain, plus the endpoints so
 	// the surrogate always brackets the feasible region.
@@ -134,6 +137,7 @@ func Optimize(cfg Config, eval Evaluator) (*Result, error) {
 	// the acquisition cost, and reuse also smooths the acquisition surface
 	// across iterations instead of adding fresh Monte-Carlo noise each time.
 	draws := newAcqDraws(cfg.InitPoints+cfg.Iterations, cfg.Candidates, cfg.QMCSamples, r)
+	var scratch acqScratch
 
 	var objGP, conGP *gp.GP
 	for it := 0; it < cfg.Iterations; it++ {
@@ -141,7 +145,7 @@ func Optimize(cfg Config, eval Evaluator) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		acq := acquireNEI(objGP, conGP, cands, draws, cfg.QMCSamples, cfg.Workers)
+		acq := scratch.acquireNEI(objGP, conGP, cands, draws, cfg.QMCSamples, cfg.Workers)
 		next, ok := pickNext(acq, cands, evals, (cfg.Max-cfg.Min)/float64(4*cfg.Candidates))
 		if !ok {
 			break // acquisition exhausted: every candidate already probed
@@ -155,7 +159,7 @@ func Optimize(cfg Config, eval Evaluator) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Evals: evals, ObjGP: objGP, ConGP: conGP}
+	res := &Result{Evals: evals, ObjGP: objGP.Snapshot(), ConGP: conGP.Snapshot()}
 	res.X, res.Feasible = recommend(conGP, evals, cfg.FeasProb)
 	if !res.Feasible {
 		res.X = cfg.Min // paper backstop: pick S_min and recalibrate later
@@ -163,46 +167,61 @@ func Optimize(cfg Config, eval Evaluator) (*Result, error) {
 	return res, nil
 }
 
-// surrogates pairs the incremental objective and constraint fitters.
+// surrogates fits the objective and constraint GPs as the two targets of
+// one incremental fitter: both are observed at every evaluation's X.
 type surrogates struct {
-	obj, con *gp.Fitter
+	f *gp.Fitter
 }
 
-func newSurrogates() *surrogates {
-	return &surrogates{obj: gp.NewFitter(), con: gp.NewFitter()}
+// Targets of the surrogate fitter.
+const (
+	objTarget = iota
+	conTarget
+)
+
+// newSurrogates returns surrogates reserved for maxObs observations.
+func newSurrogates(maxObs int) *surrogates {
+	s := &surrogates{f: gp.NewFitter(2)}
+	s.f.Reserve(maxObs)
+	return s
 }
 
-// observe appends one evaluation to both fitters. Noise variances pass
+// observe appends one evaluation to both targets. Noise variances pass
 // through floorVar, so only a non-finite X/Obj/Con can be rejected here.
 func (s *surrogates) observe(e Evaluation) error {
-	if err := s.obj.Observe(e.X, e.Obj, floorVar(e.ObjNoiseVar)); err != nil {
-		return fmt.Errorf("bo: objective surrogate: %w", err)
-	}
-	if err := s.con.Observe(e.X, e.Con, floorVar(e.ConNoiseVar)); err != nil {
-		return fmt.Errorf("bo: constraint surrogate: %w", err)
+	err := s.f.Observe(e.X,
+		gp.Obs{Y: e.Obj, Noise: floorVar(e.ObjNoiseVar)},
+		gp.Obs{Y: e.Con, Noise: floorVar(e.ConNoiseVar)})
+	if err != nil {
+		return fmt.Errorf("bo: surrogates (target %d objective, %d constraint): %w", objTarget, conTarget, err)
 	}
 	return nil
 }
 
 func (s *surrogates) fit() (objGP, conGP *gp.GP, err error) {
-	if objGP, err = s.obj.Fit(); err != nil {
+	if objGP, err = s.f.Fit(objTarget); err != nil {
 		return nil, nil, fmt.Errorf("bo: objective surrogate: %w", err)
 	}
-	if conGP, err = s.con.Fit(); err != nil {
+	if conGP, err = s.f.Fit(conTarget); err != nil {
 		return nil, nil, fmt.Errorf("bo: constraint surrogate: %w", err)
 	}
 	return objGP, conGP, nil
 }
 
-// fitSurrogates is the one-shot form (tests and benchmarks).
+// fitSurrogates is the one-shot form (state restore, tests and benchmarks);
+// it returns snapshots.
 func fitSurrogates(evals []Evaluation) (*gp.GP, *gp.GP, error) {
-	s := newSurrogates()
+	s := newSurrogates(len(evals))
 	for _, e := range evals {
 		if err := s.observe(e); err != nil {
 			return nil, nil, err
 		}
 	}
-	return s.fit()
+	objGP, conGP, err := s.fit()
+	if err != nil {
+		return nil, nil, err
+	}
+	return objGP.Snapshot(), conGP.Snapshot(), nil
 }
 
 // acqChunk is the number of posterior draws one pool task scores. It is a
@@ -233,14 +252,33 @@ const acqChunk = 8
 // — so the result is bit-identical to the single-threaded loop for any
 // worker count.
 func acquireNEI(objGP, conGP *gp.GP, cands []float64, draws *acqDraws, nSamples, workers int) []float64 {
-	ob := newCondFactors(objGP, cands)
-	cb := newCondFactors(conGP, cands)
+	return new(acqScratch).acquireNEI(objGP, conGP, cands, draws, nSamples, workers)
+}
+
+// acqScratch is the acquisition's workspace, reused across the iterations of
+// one Optimize run. The acquisition it returns is overwritten by the next
+// call.
+type acqScratch struct {
+	ob, cb  condFactors
+	contrib []float64 // draws × candidates improvement contributions
+	acq     []float64
+	f       []float64 // per chunk: sampled objective, then constraint, at the observations
+}
+
+func (a *acqScratch) acquireNEI(objGP, conGP *gp.GP, cands []float64, draws *acqDraws, nSamples, workers int) []float64 {
+	ob, cb := &a.ob, &a.cb
+	ob.update(objGP, cands)
+	cb.update(conGP, cands)
 	nObs := objGP.NumObs()
 	nc := len(cands)
-	contrib := make([]float64, nSamples*nc)
-	parallel.Chunks(workers, nSamples, acqChunk, func(_, lo, hi int) {
-		fObj := make([]float64, nObs)
-		fCon := make([]float64, nObs)
+	a.contrib = resize(a.contrib, nSamples*nc)
+	contrib := a.contrib
+	clear(contrib)
+	nChunks := (nSamples + acqChunk - 1) / acqChunk
+	a.f = resize(a.f, 2*nObs*nChunks)
+	parallel.Chunks(workers, nSamples, acqChunk, func(c, lo, hi int) {
+		fObj := a.f[2*nObs*c : (2*c+1)*nObs]
+		fCon := a.f[(2*c+1)*nObs : 2*nObs*(c+1)]
 		for k := lo; k < hi; k++ {
 			zObjObs, zObjCand, zConObs, zConCand := draws.split(k, nObs)
 			sampleGaussian(ob.meanObs, ob.l, zObjObs, fObj)
@@ -273,7 +311,9 @@ func acquireNEI(objGP, conGP *gp.GP, cands []float64, draws *acqDraws, nSamples,
 		}
 	})
 
-	acq := make([]float64, nc)
+	a.acq = resize(a.acq, nc)
+	acq := a.acq
+	clear(acq)
 	for k := 0; k < nSamples; k++ {
 		row := contrib[k*nc : (k+1)*nc]
 		for j, v := range row {
@@ -291,7 +331,9 @@ func acquireNEI(objGP, conGP *gp.GP, cands []float64, draws *acqDraws, nSamples,
 // condFactors holds one surrogate's sampling factors for acquireNEI: the
 // jittered Cholesky factor of the observed-block posterior covariance, and
 // per candidate the conditional-sampling weights w_j = L⁻¹·cov(cand_j, obs)
-// and residual standard deviation s_j = √(var_j − ‖w_j‖²).
+// and residual standard deviation s_j = √(var_j − ‖w_j‖²). The posterior
+// blocks of a GP view are its target's scratch, so the factors are valid
+// until the next posterior of that target.
 type condFactors struct {
 	meanObs  []float64
 	meanCand []float64
@@ -300,11 +342,12 @@ type condFactors struct {
 	s        []float64  // nc conditional standard deviations
 }
 
-func newCondFactors(g *gp.GP, cands []float64) *condFactors {
+// update recomputes the factors for g over cands, reusing their storage.
+func (c *condFactors) update(g *gp.GP, cands []float64) {
 	b := g.JointPosteriorBlocks(cands)
-	l := cholWithJitter(b.CovObs)
-	ch := mat.Cholesky{L: l}
-	s := make([]float64, len(cands))
+	c.l = cholWithJitter(c.l, b.CovObs)
+	ch := mat.Cholesky{L: c.l}
+	c.s = resize(c.s, len(cands))
 	for j := range cands {
 		row := b.Cross.Row(j)
 		ch.ForwardSolveTo(row, row)
@@ -315,9 +358,9 @@ func newCondFactors(g *gp.GP, cands []float64) *condFactors {
 			// fully determined by the observed block.
 			v = 0
 		}
-		s[j] = math.Sqrt(v)
+		c.s[j] = math.Sqrt(v)
 	}
-	return &condFactors{meanObs: b.MeanObs, meanCand: b.MeanCand, l: l, w: b.Cross, s: s}
+	c.meanObs, c.meanCand, c.w = b.MeanObs, b.MeanCand, b.Cross
 }
 
 // acqDraws holds the QMC base draws shared by every acquisition evaluation of
@@ -499,24 +542,27 @@ func sampleGaussian(mean []float64, l *mat.Dense, z, out []float64) {
 	}
 }
 
-// cholWithJitter factors a posterior covariance, escalating diagonal jitter
-// until it succeeds (posterior covariances are often numerically singular
-// when candidates coincide with observations). One scratch clone is reused
-// across all jitter attempts — each retry refills it from cov with a memcpy
-// instead of allocating a fresh matrix.
-func cholWithJitter(cov *mat.Dense) *mat.Dense {
+// cholWithJitter factors a posterior covariance into work (reshaped and
+// reused; nil allocates), escalating diagonal jitter until it succeeds
+// (posterior covariances are often numerically singular when candidates
+// coincide with observations). Each retry refills work from cov with a
+// memcpy instead of allocating a fresh matrix.
+func cholWithJitter(work, cov *mat.Dense) *mat.Dense {
 	jitter := 0.0
 	base := 1e-10 * (1 + meanDiag(cov))
-	work := cov.Clone()
+	if work == nil {
+		work = &mat.Dense{}
+	}
+	work.Rows, work.Cols, work.Data = cov.Rows, cov.Cols, resize(work.Data, len(cov.Data))
 	for attempt := 0; attempt < 12; attempt++ {
+		copy(work.Data, cov.Data)
 		if attempt > 0 {
-			copy(work.Data, cov.Data)
 			for i := 0; i < work.Rows; i++ {
 				work.Data[i*work.Cols+i] += jitter
 			}
 		}
-		if ch, err := mat.CholeskyInPlace(work); err == nil {
-			return ch.L
+		if _, err := mat.CholeskyInPlace(work); err == nil {
+			return work
 		}
 		if jitter == 0 {
 			jitter = base
@@ -525,15 +571,15 @@ func cholWithJitter(cov *mat.Dense) *mat.Dense {
 		}
 	}
 	// Degenerate fallback: diagonal standard deviations only.
-	l := mat.New(cov.Rows, cov.Cols)
+	clear(work.Data)
 	for i := 0; i < cov.Rows; i++ {
 		v := cov.Data[i*cov.Cols+i]
 		if v < 0 {
 			v = 0
 		}
-		l.Data[i*cov.Cols+i] = math.Sqrt(v)
+		work.Data[i*cov.Cols+i] = math.Sqrt(v)
 	}
-	return l
+	return work
 }
 
 func meanDiag(a *mat.Dense) float64 {
@@ -559,6 +605,13 @@ func floorVar(v float64) float64 {
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
 
 func linspace(lo, hi float64, n int) []float64 {
 	out := make([]float64, n)

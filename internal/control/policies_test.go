@@ -2,6 +2,7 @@ package control
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"tesla/internal/baselines"
@@ -251,6 +252,100 @@ func TestTESLALogsTheEvaluatedScore(t *testing.T) {
 			wantCold := p.Constraint + m.Config().AllowedColdC
 			if got.decidedAt != step || got.predObj != wantObj || got.predMaxCold != wantCold {
 				t.Fatalf("step %d: logged %+v, fresh prediction obj=%v maxCold=%v", step, got, wantObj, wantCold)
+			}
+		}
+	}
+}
+
+// TestLastResultSurvivesNextDecision: the optimizer reuses its surrogate
+// views and posterior scratch within a run and across none, so the
+// surrogates LastResult exposes after decision k must read bit-unchanged
+// after decision k+1.
+func TestLastResultSurvivesNextDecision(t *testing.T) {
+	m := smallModel(t, 6)
+	ctrl, err := NewTESLA(m, fastTESLAConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := learnableTrace(40, 7)
+	ctrl.Decide(tr, 10)
+	held := ctrl.LastResult()
+	type post struct{ objM, objV, conM, conV float64 }
+	read := func() []post {
+		var out []post
+		for _, e := range held.Evals {
+			var p post
+			p.objM, p.objV = held.ObjGP.Posterior(e.X)
+			p.conM, p.conV = held.ConGP.Posterior(e.X)
+			out = append(out, p)
+		}
+		return out
+	}
+	before := read()
+	// The result's surrogates are snapshots: their posterior blocks are the
+	// caller's, not scratch a later call overwrites.
+	blocks := held.ObjGP.JointPosteriorBlocks([]float64{21, 27, 33})
+	cross := append([]float64(nil), blocks.Cross.Data...)
+	held.ObjGP.JointPosteriorBlocks([]float64{22, 30})
+	for i, v := range cross {
+		if blocks.Cross.Data[i] != v {
+			t.Fatalf("a second posterior call rewrote the first one's blocks")
+		}
+	}
+	ctrl.Decide(tr, 11)
+	if ctrl.LastResult() == held {
+		t.Fatalf("decision k+1 did not produce a new result")
+	}
+	after := read()
+	for i := range before {
+		if before[i] != after[i] {
+			t.Fatalf("evaluation %d: posterior %+v after the next decision, %+v before", i, after[i], before[i])
+		}
+	}
+}
+
+// TestTESLAControllersShareModel: two controllers over one *model.Model
+// decide concurrently and must reproduce their serial decisions exactly —
+// every per-decision scratch lives in the controller, the Prepared history
+// and the optimizer run, never in the model. Run under -race -cpu 1,4.
+func TestTESLAControllersShareModel(t *testing.T) {
+	m := smallModel(t, 8)
+	traces := []*dataset.Trace{learnableTrace(40, 9), learnableTrace(40, 10)}
+	decide := func(ctrl *TESLA, tr *dataset.Trace) []float64 {
+		var out []float64
+		for step := 6; step < 30; step++ {
+			out = append(out, ctrl.Decide(tr, step))
+		}
+		return out
+	}
+	newCtrl := func(seed uint64) *TESLA {
+		cfg := fastTESLAConfig()
+		cfg.Seed = seed
+		ctrl, err := NewTESLA(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctrl
+	}
+	want := make([][]float64, len(traces))
+	for i, tr := range traces {
+		want[i] = decide(newCtrl(uint64(i+1)), tr)
+	}
+	got := make([][]float64, len(traces))
+	var wg sync.WaitGroup
+	for i, tr := range traces {
+		ctrl := newCtrl(uint64(i + 1))
+		wg.Add(1)
+		go func(i int, tr *dataset.Trace) {
+			defer wg.Done()
+			got[i] = decide(ctrl, tr)
+		}(i, tr)
+	}
+	wg.Wait()
+	for i := range want {
+		for k := range want[i] {
+			if got[i][k] != want[i][k] {
+				t.Fatalf("controller %d step %d: concurrent %v, serial %v", i, k, got[i][k], want[i][k])
 			}
 		}
 	}

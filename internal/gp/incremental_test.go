@@ -15,45 +15,45 @@ import (
 // hyperparameters bit-identical.
 func TestFitterIncrementalMatchesFullRefit(t *testing.T) {
 	xs := []float64{20, 35, 23, 29, 26, 31.5, 21.7, 27.3, 33.1, 24.9}
-	f1 := NewFitter()
+	f1 := NewFitter(1)
 	for i, x := range xs[:6] {
-		if err := f1.Observe(x, 0.05*(x-27)*(x-27)+0.1*float64(i%3), 1e-4); err != nil {
+		if err := f1.Observe(x, Obs{0.05*(x-27)*(x-27) + 0.1*float64(i%3), 1e-4}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f1.Fit(); err != nil {
+	if _, err := f1.Fit(0); err != nil {
 		t.Fatal(err)
 	}
 	var g1 *GP
 	for i, x := range xs[6:] {
-		if err := f1.Observe(x, 0.05*(x-27)*(x-27)+0.1*float64(i%3), 1e-4); err != nil {
+		if err := f1.Observe(x, Obs{0.05*(x-27)*(x-27) + 0.1*float64(i%3), 1e-4}); err != nil {
 			t.Fatal(err)
 		}
 		var err error
-		if g1, err = f1.Fit(); err != nil {
+		if g1, err = f1.Fit(0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if f1.stats.Extends == 0 {
-		t.Fatalf("extension fast path never fired: %+v", f1.stats)
+	if f1.ts[0].stats.Extends == 0 {
+		t.Fatalf("extension fast path never fired: %+v", f1.ts[0].stats)
 	}
 
 	// Reference: a fresh fitter over the same data, forced onto the same
 	// output-scale anchor so both use the same hyperparameter grid.
-	f2 := NewFitter()
+	f2 := NewFitter(1)
 	for i := range f1.x {
-		if err := f2.Observe(f1.x[i], f1.y[i], f1.noise[i]); err != nil {
+		if err := f2.Observe(f1.x[i], Obs{f1.ts[0].y[i], f1.ts[0].noise[i]}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f2.anchor = f1.anchor
-	f2.osGrid = f1.osGrid
-	g2, err := f2.Fit()
+	f2.ts[0].anchor = f1.ts[0].anchor
+	f2.ts[0].osGrid = f1.ts[0].osGrid
+	g2, err := f2.Fit(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f2.stats.FullRefits != 1 || f2.stats.Extends != 0 {
-		t.Fatalf("reference fitter should have done one full refit: %+v", f2.stats)
+	if f2.ts[0].stats.FullRefits != 1 || f2.ts[0].stats.Extends != 0 {
+		t.Fatalf("reference fitter should have done one full refit: %+v", f2.ts[0].stats)
 	}
 
 	if g1.Lengthscale != g2.Lengthscale || g1.OutputScale != g2.OutputScale || g1.Mean != g2.Mean {
@@ -80,34 +80,34 @@ func TestFitterIncrementalMatchesFullRefit(t *testing.T) {
 // old grid — failing with "no hyperparameter setting produced a
 // positive-definite kernel" (or, worse, fitting silently wrong).
 func TestFitterSpanGrowthInvalidatesBases(t *testing.T) {
-	f := NewFitter()
+	f := NewFitter(1)
 	for _, x := range []float64{20, 25, 23} {
-		if err := f.Observe(x, 0.1*(x-22)*(x-22), 1e-4); err != nil {
+		if err := f.Observe(x, Obs{0.1 * (x - 22) * (x - 22), 1e-4}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.Fit(); err != nil {
+	if _, err := f.Fit(0); err != nil {
 		t.Fatal(err)
 	}
 	// Extends the span (and again on the next round) so the grid rebuilds.
 	for _, x := range []float64{35, 18} {
-		if err := f.Observe(x, 0.1*(x-22)*(x-22), 1e-4); err != nil {
+		if err := f.Observe(x, Obs{0.1 * (x - 22) * (x - 22), 1e-4}); err != nil {
 			t.Fatal(err)
 		}
-		g1, err := f.Fit()
+		g1, err := f.Fit(0)
 		if err != nil {
 			t.Fatalf("fit after span growth: %v", err)
 		}
 		// Must match a fresh fit over the same data on the same grid.
-		f2 := NewFitter()
+		f2 := NewFitter(1)
 		for i := range f.x {
-			if err := f2.Observe(f.x[i], f.y[i], f.noise[i]); err != nil {
+			if err := f2.Observe(f.x[i], Obs{f.ts[0].y[i], f.ts[0].noise[i]}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		f2.anchor = f.anchor
-		f2.osGrid = f.osGrid
-		g2, err := f2.Fit()
+		f2.ts[0].anchor = f.ts[0].anchor
+		f2.ts[0].osGrid = f.ts[0].osGrid
+		g2, err := f2.Fit(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,24 +127,24 @@ func TestFitterSpanGrowthInvalidatesBases(t *testing.T) {
 // (initial design, then one observation per iteration) and checks the fast
 // path dominates when the target variance is stable.
 func TestFitterExtensionPathOnStableVariance(t *testing.T) {
-	f := NewFitter()
+	f := NewFitter(1)
 	for _, x := range []float64{20, 35, 24, 28, 31} {
-		if err := f.Observe(x, 3, 1e-6); err != nil {
+		if err := f.Observe(x, Obs{3, 1e-6}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.Fit(); err != nil {
+	if _, err := f.Fit(0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := f.Observe(21+2*float64(i), 3, 1e-6); err != nil {
+		if err := f.Observe(21+2*float64(i), Obs{3, 1e-6}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Fit(); err != nil {
+		if _, err := f.Fit(0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := f.Stats()
+	st := f.Stats(0)
 	if st.Fits != 7 {
 		t.Fatalf("fits %d, want 7", st.Fits)
 	}
@@ -251,12 +251,26 @@ func TestFitRejectsNonFinite(t *testing.T) {
 }
 
 func TestObserveRejectsNonFinite(t *testing.T) {
-	f := NewFitter()
-	if err := f.Observe(math.Inf(-1), 0, 1e-6); err == nil {
+	f := NewFitter(1)
+	if err := f.Observe(math.Inf(-1), Obs{0, 1e-6}); err == nil {
 		t.Fatalf("-Inf input accepted")
 	}
 	if f.NumObs() != 0 {
 		t.Fatalf("rejected observation was stored")
+	}
+	// Every target's values are checked before anything is stored.
+	f2 := NewFitter(2)
+	for _, obs := range [][]Obs{
+		{{1, 1e-6}, {math.NaN(), 1e-6}},
+		{{1, 1e-6}, {2, math.Inf(1)}},
+		{{1, 1e-6}}, // one value short
+	} {
+		if err := f2.Observe(3, obs...); err == nil {
+			t.Fatalf("observation %v accepted by a two-target fitter", obs)
+		}
+		if f2.NumObs() != 0 || len(f2.ts[0].y) != 0 || len(f2.ts[1].y) != 0 {
+			t.Fatalf("rejected observation %v was stored", obs)
+		}
 	}
 }
 
@@ -307,5 +321,146 @@ func TestJointPosteriorBlocksMatchesJoint(t *testing.T) {
 				t.Fatalf("Cross[%d,%d] off by %g", j, a, d)
 			}
 		}
+	}
+}
+
+// TestTwoTargetFitterMatchesFromScratch drives a two-target fitter the way
+// one optimization run does (a 7-point design, then one observation per fit
+// of both targets) and checks every fit bitwise against a fresh one-target
+// fitter refactorizing from scratch on the same grid: the shared kernel
+// store, the running log-determinants, the in-place factor extensions and
+// the reused posterior scratch must change no bit.
+func TestTwoTargetFitterMatchesFromScratch(t *testing.T) {
+	cands := make([]float64, 31)
+	for i := range cands {
+		cands[i] = 20 + 15*float64(i)/30
+	}
+	for seed := uint64(1); seed <= 24; seed++ {
+		r := rng.New(seed)
+		f := NewFitter(2)
+		if seed%2 == 0 {
+			f.Reserve(15)
+		}
+		for n := 1; n <= 15; n++ {
+			x := 20 + 15*r.Float64()
+			obj := Obs{0.05*(x-27)*(x-27) + 0.1*r.Norm(), 1e-4 * (1 + r.Float64())}
+			con := Obs{x - 30 + 0.3*r.Norm(), 1e-3 * (1 + r.Float64())}
+			if err := f.Observe(x, obj, con); err != nil {
+				t.Fatal(err)
+			}
+			if n < 7 {
+				continue
+			}
+			cs := cands
+			if seed%3 == 0 && n%2 == 1 { // a new candidate grid must not resume
+				cs = cands[1:]
+			}
+			for ti := range 2 {
+				g, err := f.Fit(ti)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstScratch(t, seed, n, f, ti, g, cs)
+			}
+		}
+	}
+}
+
+// checkAgainstScratch compares g, target ti's fit of f, with a fresh
+// one-target fitter on the same output-scale grid.
+func checkAgainstScratch(t *testing.T, seed uint64, n int, f *Fitter, ti int, g *GP, cands []float64) {
+	t.Helper()
+	ft := &f.ts[ti]
+	ref := NewFitter(1)
+	for i := range f.x {
+		if err := ref.Observe(f.x[i], Obs{ft.y[i], ft.noise[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref.ts[0].anchor, ref.ts[0].osGrid = ft.anchor, ft.osGrid
+	want, err := ref.Fit(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.ts[0].stats.FullRefits != 1 {
+		t.Fatalf("reference did not refactorize from scratch: %+v", ref.ts[0].stats)
+	}
+	for ci := range ft.cells {
+		c, rc := &ft.cells[ci], &ref.ts[0].cells[ci]
+		if c.alive != rc.alive || (c.alive && (c.logSum != rc.logSum || 2*c.logSum != c.chol.LogDet())) {
+			t.Fatalf("seed %d n=%d target %d cell %d: alive %v log-sum %v, from scratch %v %v (LogDet/2 %v)",
+				seed, n, ti, ci, c.alive, c.logSum, rc.alive, rc.logSum, c.chol.LogDet()/2)
+		}
+	}
+	if g.Lengthscale != want.Lengthscale || g.OutputScale != want.OutputScale || g.Mean != want.Mean {
+		t.Fatalf("seed %d n=%d: hyperparameters (%v,%v,%v), from scratch (%v,%v,%v)",
+			seed, n, g.Lengthscale, g.OutputScale, g.Mean, want.Lengthscale, want.OutputScale, want.Mean)
+	}
+	bitEqual(t, "alpha", g.alpha, want.alpha)
+	bitEqual(t, "factor", g.chol.L.Data, want.chol.L.Data)
+	got, exp := g.JointPosteriorBlocks(cands), want.Snapshot().JointPosteriorBlocks(cands)
+	bitEqual(t, "MeanObs", got.MeanObs, exp.MeanObs)
+	bitEqual(t, "MeanCand", got.MeanCand, exp.MeanCand)
+	bitEqual(t, "CovObs", got.CovObs.Data, exp.CovObs.Data)
+	bitEqual(t, "Cross", got.Cross.Data, exp.Cross.Data)
+	bitEqual(t, "VarCand", got.VarCand, exp.VarCand)
+	for _, x := range f.x {
+		m1, v1 := g.Posterior(x)
+		m2, v2 := want.Posterior(x)
+		if m1 != m2 || v1 != v2 {
+			t.Fatalf("seed %d n=%d: posterior at %v (%v,%v), from scratch (%v,%v)", seed, n, x, m1, v1, m2, v2)
+		}
+	}
+}
+
+func bitEqual(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i, v := range want {
+		if got[i] != v {
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], v)
+		}
+	}
+}
+
+// TestSnapshotOutlivesFitter: a snapshot is unchanged by later observations
+// and fits of the fitter it came from, while the view it was taken from is
+// reused.
+func TestSnapshotOutlivesFitter(t *testing.T) {
+	f := NewFitter(1)
+	for _, x := range []float64{20, 35, 24, 28, 31} {
+		if err := f.Observe(x, Obs{math.Sin(x), 1e-4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view, err := f.Fit(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := view.Snapshot()
+	cands := []float64{21, 26.5, 33}
+	before := *snap.JointPosteriorBlocks(cands)
+	m0, v0 := snap.Posterior(27)
+	for _, x := range []float64{22, 26, 34} {
+		if err := f.Observe(x, Obs{math.Cos(x), 1e-3}); err != nil {
+			t.Fatal(err)
+		}
+		again, err := f.Fit(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != view {
+			t.Fatalf("Fit returned a fresh GP instead of reusing its view")
+		}
+		again.JointPosteriorBlocks(cands)
+	}
+	after := snap.JointPosteriorBlocks(cands)
+	bitEqual(t, "MeanCand", after.MeanCand, before.MeanCand)
+	bitEqual(t, "Cross", after.Cross.Data, before.Cross.Data)
+	bitEqual(t, "CovObs", after.CovObs.Data, before.CovObs.Data)
+	if m, v := snap.Posterior(27); m != m0 || v != v0 {
+		t.Fatalf("snapshot posterior moved: (%v,%v) → (%v,%v)", m0, v0, m, v)
 	}
 }

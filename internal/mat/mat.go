@@ -190,7 +190,18 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 // (upper triangle zeroed). Only the lower triangle of a is read, so callers
 // may build just that half. On error a is left partially overwritten; callers
 // that retry with jitter must refill the matrix from their source first.
+//
+// CholeskyInPlace is small enough to inline, so a caller that keeps only
+// the error (its factor is a) allocates nothing.
 func CholeskyInPlace(a *Dense) (*Cholesky, error) {
+	if err := factorLower(a); err != nil {
+		return nil, err
+	}
+	return &Cholesky{L: a}, nil
+}
+
+// factorLower overwrites a with its lower Cholesky factor.
+func factorLower(a *Dense) error {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("mat: Cholesky of non-square %dx%d", a.Rows, a.Cols))
 	}
@@ -201,7 +212,7 @@ func CholeskyInPlace(a *Dense) (*Cholesky, error) {
 		lrowj := l.Row(j)[:j]
 		ljj -= Dot(lrowj, lrowj)
 		if ljj <= 0 || math.IsNaN(ljj) {
-			return nil, fmt.Errorf("mat: matrix not positive definite at pivot %d (value %g)", j, ljj)
+			return fmt.Errorf("mat: matrix not positive definite at pivot %d (value %g)", j, ljj)
 		}
 		ljj = math.Sqrt(ljj)
 		l.Data[j*n+j] = ljj
@@ -217,7 +228,7 @@ func CholeskyInPlace(a *Dense) (*Cholesky, error) {
 			l.Data[i*n+j] = 0
 		}
 	}
-	return &Cholesky{L: l}, nil
+	return nil
 }
 
 // Extend grows the factorization in place by one symmetric row: given the
@@ -227,58 +238,62 @@ func CholeskyInPlace(a *Dense) (*Cholesky, error) {
 // The result is bit-identical to refactorizing the extended matrix from
 // scratch (the leading rows of a Cholesky factor depend only on the leading
 // submatrix, and the new row is computed with the same dot/reciprocal
-// sequence NewCholesky uses). The factor's storage is reused when its backing
-// slice has capacity; on a non-positive pivot the factorization is left
-// unchanged and an error is returned.
+// sequence NewCholesky uses).
+//
+// The new row is computed directly into its final place, offset n·(n+1) of
+// the (n+1)×(n+1) layout. When the backing array has capacity for that
+// layout, the offset lies past the n² values of the current factor, so the
+// row is staged in the array's own spare capacity; the old rows are then
+// restrided in place and c.L is updated rather than replaced, and Extend
+// allocates nothing. Otherwise the row is staged in a fresh array of twice
+// the needed size, into which the old rows are copied. On a non-positive
+// pivot the factorization is left unchanged and an error is returned.
 func (c *Cholesky) Extend(k []float64, d float64) error {
 	n := c.L.Rows
 	if len(k) != n {
 		panic(fmt.Sprintf("mat: Extend row length %d vs order %d", len(k), n))
 	}
 	m := n + 1
-	// Stage the new row in the tail of the target storage so a failed pivot
-	// leaves the existing factor untouched.
-	row := make([]float64, m)
-	var pivot float64
-	{
-		l := c.L.Data
-		for j := 0; j < n; j++ {
-			ljj := l[j*n+j]
-			v := k[j] - Dot(c.L.Row(j)[:j], row[:j])
-			row[j] = v * (1 / ljj)
-		}
-		pivot = d - Dot(row[:n], row[:n])
-		if pivot <= 0 || math.IsNaN(pivot) {
-			return fmt.Errorf("mat: extended matrix not positive definite (pivot %g)", pivot)
-		}
-		row[n] = math.Sqrt(pivot)
-	}
-
 	old := c.L.Data
+	inPlace := cap(old) >= m*m
 	var data []float64
-	if cap(old) >= m*m {
+	if inPlace {
+		data = old[:m*m]
+	} else {
+		data = make([]float64, m*m, 2*m*m)
+	}
+	row := data[n*m : m*m]
+	for j := 0; j < n; j++ {
+		ljj := old[j*n+j]
+		v := k[j] - Dot(old[j*n:j*n+j], row[:j])
+		row[j] = v * (1 / ljj)
+	}
+	pivot := d - Dot(row[:n], row[:n])
+	if pivot <= 0 || math.IsNaN(pivot) {
+		return fmt.Errorf("mat: extended matrix not positive definite (pivot %g)", pivot)
+	}
+	row[n] = math.Sqrt(pivot)
+
+	if inPlace {
 		// Restride rows n-1..1 backward (row i moves from offset i·n to i·m,
 		// strictly rightward, so a reverse walk never overwrites unread data).
-		data = old[:m*m]
 		for i := n - 1; i >= 1; i-- {
 			copy(data[i*m:i*m+i+1], data[i*n:i*n+i+1])
 		}
 	} else {
-		data = make([]float64, m*m, 2*m*m)
 		for i := 0; i < n; i++ {
 			copy(data[i*m:i*m+i+1], old[i*n:i*n+i+1])
 		}
 	}
 	// Zero each old row's upper triangle (restriding leaves stale values
-	// behind the diagonal) and install the new row.
+	// behind the diagonal).
 	for i := 0; i < n; i++ {
 		z := data[i*m+i+1 : (i+1)*m]
 		for j := range z {
 			z[j] = 0
 		}
 	}
-	copy(data[n*m:], row)
-	c.L = &Dense{Rows: m, Cols: m, Data: data}
+	c.L.Rows, c.L.Cols, c.L.Data = m, m, data
 	return nil
 }
 
@@ -312,12 +327,19 @@ func (c *Cholesky) SolveVecTo(dst, b []float64) {
 // ForwardSolveTo computes dst = L⁻¹·b (forward substitution only) without
 // allocating. dst may alias b. Combined with a dot product this evaluates
 // quadratic forms bᵀA⁻¹b in half the work of a full solve.
-func (c *Cholesky) ForwardSolveTo(dst, b []float64) {
+func (c *Cholesky) ForwardSolveTo(dst, b []float64) { c.ForwardSolveFrom(dst, b, 0) }
+
+// ForwardSolveFrom finishes a forward substitution whose first `from`
+// entries dst already holds. Entry i of L⁻¹·b depends only on b[:i+1] and
+// the leading i+1 rows of L, which Extend never changes, so a solve against
+// a factor that has since been extended resumes where it stopped and is
+// bit-identical to solving from scratch. Only b[from:] is read.
+func (c *Cholesky) ForwardSolveFrom(dst, b []float64, from int) {
 	n := c.L.Rows
-	if len(b) != n || len(dst) != n {
-		panic(fmt.Sprintf("mat: ForwardSolveTo lengths %d,%d vs order %d", len(dst), len(b), n))
+	if len(b) != n || len(dst) != n || from < 0 || from > n {
+		panic(fmt.Sprintf("mat: ForwardSolveFrom lengths %d,%d from %d vs order %d", len(dst), len(b), from, n))
 	}
-	for i := 0; i < n; i++ {
+	for i := from; i < n; i++ {
 		dst[i] = (b[i] - Dot(c.L.Row(i)[:i], dst[:i])) / c.L.Data[i*n+i]
 	}
 }

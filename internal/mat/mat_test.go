@@ -347,26 +347,79 @@ func TestCholeskyExtendMatchesFull(t *testing.T) {
 	}
 }
 
-// TestCholeskyExtendRejectsIndefinite: appending a row that breaks positive
-// definiteness must error and leave the existing factor intact and usable.
-func TestCholeskyExtendRejectsIndefinite(t *testing.T) {
-	a := randomSPD(4, 3)
-	ch, err := NewCholesky(a)
+// factorWithCap factors a into a backing array of the given capacity, so a
+// test can choose between Extend's in-capacity and regrow paths.
+func factorWithCap(t *testing.T, a *Dense, capacity int) *Cholesky {
+	t.Helper()
+	work := &Dense{Rows: a.Rows, Cols: a.Cols, Data: make([]float64, len(a.Data), capacity)}
+	copy(work.Data, a.Data)
+	ch, err := CholeskyInPlace(work)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ch.L.Clone()
-	// d = 0 with a non-trivial cross row cannot be SPD.
-	if err := ch.Extend([]float64{1, 2, 3, 4}, 0); err == nil {
-		t.Fatalf("indefinite extension accepted")
-	}
-	if ch.L.Rows != 4 {
-		t.Fatalf("failed extension resized the factor to %d", ch.L.Rows)
-	}
-	for i := range before.Data {
-		if ch.L.Data[i] != before.Data[i] {
-			t.Fatalf("failed extension mutated the factor at %d", i)
+	return ch
+}
+
+// TestCholeskyExtendRejectsIndefinite: appending a row that breaks positive
+// definiteness must error and leave the existing factor intact and usable,
+// whether the new row was staged in the factor's spare capacity or in a
+// regrown array.
+func TestCholeskyExtendRejectsIndefinite(t *testing.T) {
+	a := randomSPD(5, 3)
+	for _, c := range []struct {
+		name     string
+		capacity int
+	}{{"in-capacity", 25}, {"regrow", 16}} {
+		ch := factorWithCap(t, leading(a, 4), c.capacity)
+		l := ch.L
+		before := l.Clone()
+		// d = 0 with a non-trivial cross row cannot be SPD.
+		if err := ch.Extend([]float64{1, 2, 3, 4}, 0); err == nil {
+			t.Fatalf("%s: indefinite extension accepted", c.name)
 		}
+		if ch.L != l || l.Rows != 4 || l.Cols != 4 || len(l.Data) != 16 {
+			t.Fatalf("%s: failed extension reshaped the factor to %dx%d (%d values)", c.name, l.Rows, l.Cols, len(l.Data))
+		}
+		for i := range before.Data {
+			if l.Data[i] != before.Data[i] {
+				t.Fatalf("%s: failed extension mutated the factor at %d", c.name, i)
+			}
+		}
+		// The factor stays usable: a valid extension still matches a full
+		// factorization bit for bit.
+		if err := ch.Extend(a.Row(4)[:4], a.At(4, 4)); err != nil {
+			t.Fatalf("%s: valid extension after a rejected one: %v", c.name, err)
+		}
+		full, err := NewCholesky(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range full.L.Data {
+			if ch.L.Data[i] != v {
+				t.Fatalf("%s: L[%d] = %g after recovery, full factor %g", c.name, i, ch.L.Data[i], v)
+			}
+		}
+	}
+}
+
+// TestCholeskyExtendInCapacityAllocatesNothing: with room for the grown
+// factor in its backing array, Extend stages and restrides in place.
+func TestCholeskyExtendInCapacityAllocatesNothing(t *testing.T) {
+	a := randomSPD(8, 5)
+	ch := factorWithCap(t, leading(a, 7), 64)
+	saved := append([]float64(nil), ch.L.Data...)
+	row, d := a.Row(7)[:7], a.At(7, 7)
+	if n := testing.AllocsPerRun(100, func() {
+		ch.L.Rows, ch.L.Cols, ch.L.Data = 7, 7, ch.L.Data[:49]
+		copy(ch.L.Data, saved)
+		if err := ch.Extend(row, d); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("in-capacity Extend allocates %g times per call", n)
+	}
+	if ch.L.Rows != 8 {
+		t.Fatalf("extended order %d, want 8", ch.L.Rows)
 	}
 }
 

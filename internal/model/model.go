@@ -83,10 +83,77 @@ type Model struct {
 
 	scale scaler
 
-	asp    *linreg.Model   // L past powers → L future powers
-	acu    []*linreg.Model // per horizon step l: (2+Na·L) → Na
-	dcs    []*linreg.Model // per horizon step l: (1+Na+Nd·L) → Nd
-	energy *linreg.Model   // (L+Na·L) → 1
+	asp *linreg.Model   // L past powers → L future powers
+	acu []*linreg.Model // per horizon step l: (2+Na·L) → Na
+	// The DCS regression of horizon step l, (1+Na+Nd·L) → Nd, is held as two
+	// output blocks: dcsCold[l] predicts the cold-aisle sensors in ColdIdx
+	// order, the only DCS outputs the safety constraint reads, and
+	// dcsRest[l] the sensors in restIdx. Each trained weight is stored once.
+	dcsCold, dcsRest []*linreg.Model
+	restIdx          []int         // DC sensors outside ColdIdx, ascending
+	energy           *linreg.Model // (L+Na·L) → 1
+}
+
+// setDCS splits the full per-step DCS regressions into the cold and rest
+// output blocks. Selecting output columns copies weights without arithmetic,
+// and linreg sums each output independently, so every prediction is
+// bit-identical to the full block's.
+func (m *Model) setDCS(full []*linreg.Model) {
+	cold := make([]bool, m.nd)
+	for _, k := range m.cfg.ColdIdx {
+		cold[k] = true
+	}
+	m.restIdx = m.restIdx[:0]
+	for k, c := range cold {
+		if !c {
+			m.restIdx = append(m.restIdx, k)
+		}
+	}
+	m.dcsCold = make([]*linreg.Model, len(full))
+	m.dcsRest = make([]*linreg.Model, len(full))
+	for l, f := range full {
+		m.dcsCold[l] = selectOutputs(f, m.cfg.ColdIdx)
+		m.dcsRest[l] = selectOutputs(f, m.restIdx)
+	}
+}
+
+// dcsFull reassembles horizon step l's full Nd-output DCS regression, the
+// form the snapshot format stores.
+func (m *Model) dcsFull(l int) *linreg.Model {
+	cold, rest := m.dcsCold[l], m.dcsRest[l]
+	d := cold.Weights.Rows
+	full := &linreg.Model{Weights: mat.New(d, m.nd), Bias: make([]float64, m.nd), Alpha: cold.Alpha}
+	for _, b := range []struct {
+		blk  *linreg.Model
+		cols []int
+	}{{cold, m.cfg.ColdIdx}, {rest, m.restIdx}} {
+		for r := 0; r < d; r++ {
+			src, dst := b.blk.Weights.Row(r), full.Weights.Row(r)
+			for c, k := range b.cols {
+				dst[k] = src[c]
+			}
+		}
+		for c, k := range b.cols {
+			full.Bias[k] = b.blk.Bias[c]
+		}
+	}
+	return full
+}
+
+// selectOutputs returns the regression restricted to the given outputs.
+func selectOutputs(f *linreg.Model, cols []int) *linreg.Model {
+	d := f.Weights.Rows
+	out := &linreg.Model{Weights: mat.New(d, len(cols)), Bias: make([]float64, len(cols)), Alpha: f.Alpha}
+	for r := 0; r < d; r++ {
+		src, dst := f.Weights.Row(r), out.Weights.Row(r)
+		for c, k := range cols {
+			dst[c] = src[k]
+		}
+	}
+	for c, k := range cols {
+		out.Bias[c] = f.Bias[k]
+	}
+	return out
 }
 
 // Config returns the training configuration.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tesla/internal/dataset"
+	"tesla/internal/linreg"
 	"tesla/internal/mat"
 )
 
@@ -46,14 +47,17 @@ type Prepared struct {
 
 	// pHatN is the ASP output p̂_{t+1..t+L} (normalized).
 	pHatN []float64
+	// zDC is the normalized DC-sensor lag window, the DCS history features.
+	zDC []float64
 	// acuBase and dcsBase hold, per horizon step, each stage's bias plus
 	// every history-only term (p̂ and the sensor lag windows). An evaluation
-	// adds the ACU sp column and the DCS â columns on top.
+	// adds the ACU sp column and the DCS â columns on top. dcsBase covers
+	// the cold-aisle outputs only: they are all Score reads.
 	acuBase, dcsBase *mat.Dense
 
 	// Scratch written by each evaluation.
 	spConst      []float64  // Eval's constant set-point sequence
-	aHatN, dHatN *mat.Dense // normalized â and d̂ (L×Na, L×Nd)
+	aHatN, dHatN *mat.Dense // normalized â and cold-aisle d̂ (L×Na, L×|ColdIdx|)
 	xe           []float64  // cooling-energy features
 	eN           []float64  // cooling-energy output
 	last         Score      // most recent evaluation
@@ -84,7 +88,7 @@ func (s Score) Objective() float64 { return s.EnergyNorm + s.InterruptionNorm }
 
 // Prepare runs the history-only part of the cascade: the ASP sub-module
 // (eq. 1) and, for every horizon step, the history terms of the ACU (eq. 2)
-// and DCS (eq. 3) regressions.
+// and the cold-aisle DCS (eq. 3) regressions.
 //
 // An evaluation adds the set-point-dependent columns after the history
 // block, while linreg.PredictInto sums features in layout order (set-point
@@ -93,16 +97,17 @@ func (m *Model) Prepare(h *History) (*Prepared, error) {
 	if err := m.ValidateHistory(h); err != nil {
 		return nil, err
 	}
-	L, na, nd := m.cfg.L, m.na, m.nd
+	L, na, nd, nc := m.cfg.L, m.na, m.nd, len(m.cfg.ColdIdx)
 	sc := m.scale
 	p := &Prepared{
 		m:       m,
 		pHatN:   make([]float64, L),
+		zDC:     make([]float64, nd*L),
 		acuBase: mat.New(L, na),
-		dcsBase: mat.New(L, nd),
+		dcsBase: mat.New(L, nc),
 		spConst: make([]float64, L),
 		aHatN:   mat.New(L, na),
-		dHatN:   mat.New(L, nd),
+		dHatN:   mat.New(L, nc),
 		xe:      make([]float64, L+na*L),
 		eN:      make([]float64, 1),
 	}
@@ -131,19 +136,23 @@ func (m *Model) Prepare(h *History) (*Prepared, error) {
 
 	// DCS features are [p̂, Na â columns, Nd·L lag window]; the base takes
 	// every column but the â block.
-	zDC := make([]float64, nd*L)
 	for k := 0; k < nd; k++ {
 		for j := 0; j < L; j++ {
-			zDC[k*L+j] = sc.temp(h.DCTemps[k][L-1-j])
+			p.zDC[k*L+j] = sc.temp(h.DCTemps[k][L-1-j])
 		}
 	}
 	for l := 0; l < L; l++ {
-		row := p.dcsBase.Row(l)
-		copy(row, m.dcs[l].Bias)
-		m.dcs[l].AddTerms(row, 0, p.pHatN[l:l+1])
-		m.dcs[l].AddTerms(row, 1+na, zDC)
+		p.dcsHistory(m.dcsCold[l], l, p.dcsBase.Row(l))
 	}
 	return p, nil
+}
+
+// dcsHistory writes one DCS output block's bias and history terms for
+// horizon step l into row.
+func (p *Prepared) dcsHistory(blk *linreg.Model, l int, row []float64) {
+	copy(row, blk.Bias)
+	blk.AddTerms(row, 0, p.pHatN[l:l+1])
+	blk.AddTerms(row, 1+p.m.na, p.zDC)
 }
 
 // Eval scores a set-point held constant over the horizon. It allocates
@@ -184,7 +193,7 @@ func (p *Prepared) eval(setpoints []float64) Score {
 
 		dRow := p.dHatN.Row(l)
 		copy(dRow, p.dcsBase.Row(l))
-		m.dcs[l].AddTerms(dRow, 1, aRow)
+		m.dcsCold[l].AddTerms(dRow, 1, aRow)
 
 		for a, v := range aRow {
 			p.xe[L+a*L+l] = v
@@ -217,12 +226,9 @@ func (p *Prepared) eval(setpoints []float64) Score {
 	// Thermal-safety constraint Ĉ (eq. 9): how far the maximum predicted
 	// cold-aisle temperature over the horizon sits above d_allowed.
 	maxCold := -1e30
-	for l := 0; l < L; l++ {
-		row := p.dHatN.Row(l)
-		for _, k := range m.cfg.ColdIdx {
-			if v := sc.unTemp(row[k]); v > maxCold {
-				maxCold = v
-			}
+	for _, v := range p.dHatN.Data {
+		if v := sc.unTemp(v); v > maxCold {
+			maxCold = v
 		}
 	}
 	s.Constraint = maxCold - m.cfg.AllowedColdC
@@ -232,7 +238,9 @@ func (p *Prepared) eval(setpoints []float64) Score {
 }
 
 // Prediction materializes the most recent evaluation in physical units. The
-// result owns its memory; later evaluations do not change it.
+// cold-aisle temperatures are the ones the evaluation computed; the other DC
+// sensors' block is computed here, in the order Prepare and eval sum the cold
+// block. The result owns its memory; later evaluations do not change it.
 func (p *Prepared) Prediction() *Prediction {
 	m := p.m
 	sc := m.scale
@@ -242,7 +250,19 @@ func (p *Prepared) Prediction() *Prediction {
 		pr.AvgPower[l] = sc.unPow(v)
 	}
 	pr.ACUTemps = unTempAll(sc, p.aHatN)
-	pr.DCTemps = unTempAll(sc, p.dHatN)
+	pr.DCTemps = mat.New(m.cfg.L, m.nd)
+	rest := make([]float64, len(m.restIdx))
+	for l := 0; l < m.cfg.L; l++ {
+		out := pr.DCTemps.Row(l)
+		for c, k := range m.cfg.ColdIdx {
+			out[k] = sc.unTemp(p.dHatN.At(l, c))
+		}
+		p.dcsHistory(m.dcsRest[l], l, rest)
+		m.dcsRest[l].AddTerms(rest, 1, p.aHatN.Row(l))
+		for c, k := range m.restIdx {
+			out[k] = sc.unTemp(rest[c])
+		}
+	}
 	return pr
 }
 

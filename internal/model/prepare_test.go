@@ -1,10 +1,14 @@
 package model
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"sync"
 	"testing"
 
+	"tesla/internal/dataset"
+	"tesla/internal/linreg"
 	"tesla/internal/mat"
 	"tesla/internal/rng"
 )
@@ -48,7 +52,7 @@ func referencePredictSeq(m *Model, h *History, setpoints []float64) *Prediction 
 	for l := 0; l < L; l++ {
 		xd[0] = pHatN[l]
 		copy(xd[1:1+na], aHatN.Row(l))
-		m.dcs[l].PredictInto(xd, dHatN.Row(l))
+		m.dcsFull(l).PredictInto(xd, dHatN.Row(l))
 	}
 
 	xe := make([]float64, L+na*L)
@@ -323,6 +327,255 @@ func TestSharedModelConcurrentPrepare(t *testing.T) {
 			if got[w][i] != want[w][i] {
 				t.Fatalf("worker %d history %d: concurrent %+v != serial %+v", w, i, got[w][i], want[w][i])
 			}
+		}
+	}
+}
+
+// parentCascade is the Prepare/Eval cascade as it was before the DCS
+// regressions were split by output: every horizon step's full Nd-output
+// regression, history terms summed first, then the â columns. It is the
+// bit-exact oracle for the split cold/rest blocks.
+func parentCascade(m *Model, h *History, setpoints []float64) *Prediction {
+	L, na, nd := m.cfg.L, m.na, m.nd
+	sc := m.scale
+	pHatN := make([]float64, L)
+	xp := make([]float64, L)
+	for j := 0; j < L; j++ {
+		xp[j] = sc.pow(h.AvgPower[L-1-j])
+	}
+	m.asp.PredictInto(xp, pHatN)
+
+	acuBase := mat.New(L, na)
+	zAcu := make([]float64, na*L)
+	for a := 0; a < na; a++ {
+		for j := 0; j < L; j++ {
+			zAcu[a*L+j] = sc.temp(h.ACUTemps[a][L-1-j])
+		}
+	}
+	for l := 0; l < L; l++ {
+		row := acuBase.Row(l)
+		copy(row, m.acu[l].Bias)
+		m.acu[l].AddTerms(row, 1, pHatN[l:l+1])
+		m.acu[l].AddTerms(row, 2, zAcu)
+	}
+	dcsBase := mat.New(L, nd)
+	zDC := make([]float64, nd*L)
+	for k := 0; k < nd; k++ {
+		for j := 0; j < L; j++ {
+			zDC[k*L+j] = sc.temp(h.DCTemps[k][L-1-j])
+		}
+	}
+	for l := 0; l < L; l++ {
+		row := dcsBase.Row(l)
+		full := m.dcsFull(l)
+		copy(row, full.Bias)
+		full.AddTerms(row, 0, pHatN[l:l+1])
+		full.AddTerms(row, 1+na, zDC)
+	}
+
+	aHatN, dHatN := mat.New(L, na), mat.New(L, nd)
+	xe := make([]float64, L+na*L)
+	spN := xe[:L]
+	for i, v := range setpoints {
+		spN[i] = sc.sp(v)
+	}
+	for l := 0; l < L; l++ {
+		aRow := aHatN.Row(l)
+		copy(aRow, acuBase.Row(l))
+		m.acu[l].AddTerms(aRow, 0, spN[l:l+1])
+		dRow := dHatN.Row(l)
+		copy(dRow, dcsBase.Row(l))
+		m.dcsFull(l).AddTerms(dRow, 1, aRow)
+		for a, v := range aRow {
+			xe[L+a*L+l] = v
+		}
+	}
+	eN := m.energy.Predict(xe)[0]
+
+	p := &Prediction{Setpoint: setpoints[L-1]}
+	p.EnergyKWh = sc.unEnergy(eN)
+	if p.EnergyKWh < 0 {
+		p.EnergyKWh = 0
+	}
+	p.EnergyNorm = sc.energy(p.EnergyKWh)
+	for l := 0; l < L; l++ {
+		var avg float64
+		for _, v := range aHatN.Row(l) {
+			avg += sc.unTemp(v)
+		}
+		avg /= float64(na)
+		if u := setpoints[l] - avg; u > m.cfg.KappaC {
+			p.Interruption += u
+		}
+	}
+	p.InterruptionNorm = p.Interruption / m.TempRangeC()
+	maxCold := -1e30
+	for l := 0; l < L; l++ {
+		row := dHatN.Row(l)
+		for _, k := range m.cfg.ColdIdx {
+			if v := sc.unTemp(row[k]); v > maxCold {
+				maxCold = v
+			}
+		}
+	}
+	p.Constraint = maxCold - m.cfg.AllowedColdC
+	p.AvgPower = make([]float64, L)
+	for l, v := range pHatN {
+		p.AvgPower[l] = sc.unPow(v)
+	}
+	p.ACUTemps = unTempAll(sc, aHatN)
+	p.DCTemps = unTempAll(sc, dHatN)
+	return p
+}
+
+// splitColdSets are cold-aisle index sets over the synthetic trace's four DC
+// sensors: unsorted, non-contiguous strict subsets, a singleton, and every
+// sensor (an empty rest block).
+var splitColdSets = [][]int{{3, 1}, {2, 0}, {1}, {3, 0, 2}, {2, 0, 3, 1}}
+
+func trainCold(t *testing.T, cold []int, seed uint64) (*Model, *dataset.Trace) {
+	t.Helper()
+	train, test := syntheticTrace(700, seed).Split(0.7)
+	cfg := smallConfig()
+	cfg.ColdIdx = cold
+	m, err := Train(train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, test
+}
+
+// TestSplitDCSMatchesParentCascade: with the DCS regressions split into cold
+// and rest blocks, Eval and EvalSeq scores are == to the parent cascade's,
+// and Prediction's full DC trajectories are bit-equal to the full per-output
+// computation.
+func TestSplitDCSMatchesParentCascade(t *testing.T) {
+	for i, cold := range splitColdSets {
+		m, test := trainCold(t, cold, uint64(30+i))
+		L := m.Config().L
+		r := rng.New(uint64(i))
+		seq := make([]float64, L)
+		for ti := L - 1; ti+L < test.Len(); ti += 9 {
+			h, err := HistoryAt(test, ti, L)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep, err := m.Prepare(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 4; k++ {
+				sp := 20 + 15*r.Float64()
+				for j := range seq {
+					seq[j] = sp
+				}
+				checkBitEqual(t, cold, prep.Eval(sp), prep.Prediction(), parentCascade(m, h, seq))
+				for j := range seq {
+					seq[j] = 20 + 15*r.Float64()
+				}
+				s, err := prep.EvalSeq(seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkBitEqual(t, cold, s, prep.Prediction(), parentCascade(m, h, seq))
+			}
+		}
+	}
+}
+
+func checkBitEqual(t *testing.T, cold []int, s Score, got, want *Prediction) {
+	t.Helper()
+	if s != want.Score || got.Score != want.Score || got.Setpoint != want.Setpoint {
+		t.Fatalf("cold %v: score %+v / materialized %+v, parent %+v", cold, s, got.Score, want.Score)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"power", got.AvgPower, want.AvgPower},
+		{"ACU", got.ACUTemps.Data, want.ACUTemps.Data},
+		{"DC", got.DCTemps.Data, want.DCTemps.Data},
+	} {
+		if len(c.got) != len(c.want) {
+			t.Fatalf("cold %v: %s has %d values, parent %d", cold, c.name, len(c.got), len(c.want))
+		}
+		for i, v := range c.want {
+			if c.got[i] != v {
+				t.Fatalf("cold %v: %s[%d] = %v, parent %v", cold, c.name, i, c.got[i], v)
+			}
+		}
+	}
+}
+
+// parentSave encodes the snapshot the way Save did when the model held each
+// step's full DCS regression, from the full regressions as trainDCS fits
+// them.
+func parentSave(t *testing.T, m *Model, dcs []*linreg.Model) []byte {
+	t.Helper()
+	snap := modelSnapshot{
+		Version: snapshotVersion,
+		Cfg:     m.cfg,
+		Na:      m.na, Nd: m.nd,
+		Scale: scalerSnapshot{
+			TempMin: m.scale.TempMin, TempMax: m.scale.TempMax,
+			PowMin: m.scale.PowMin, PowMax: m.scale.PowMax,
+			SpMin: m.scale.SpMin, SpMax: m.scale.SpMax,
+			EMin: m.scale.EMin, EMax: m.scale.EMax,
+		},
+		ASP:    snapLinreg(m.asp),
+		Energy: snapLinreg(m.energy),
+	}
+	for _, sub := range m.acu {
+		snap.ACU = append(snap.ACU, snapLinreg(sub))
+	}
+	for _, sub := range dcs {
+		snap.DCS = append(snap.DCS, snapLinreg(sub))
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSplitDCSSnapshotBytesUnchanged: Save writes the bytes the full-block
+// model wrote, and Save → Load → Save reproduces them exactly.
+func TestSplitDCSSnapshotBytesUnchanged(t *testing.T) {
+	for i, cold := range splitColdSets {
+		train, _ := syntheticTrace(700, uint64(40+i)).Split(0.7)
+		cfg := smallConfig()
+		cfg.ColdIdx = cold
+		m, err := Train(train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var anchors []int
+		for a := cfg.L - 1; a+cfg.L < train.Len(); a += cfg.Stride {
+			anchors = append(anchors, a)
+		}
+		full, err := trainDCS(train, anchors, m.scale, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := parentSave(t, m, full)
+
+		var first bytes.Buffer
+		if err := m.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), want) {
+			t.Fatalf("cold %v: Save wrote %d bytes that differ from the full-block format (%d bytes)", cold, first.Len(), len(want))
+		}
+		back, err := Load(bytes.NewReader(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var second bytes.Buffer
+		if err := back.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(second.Bytes(), want) {
+			t.Fatalf("cold %v: Save → Load → Save changed the snapshot bytes", cold)
 		}
 	}
 }

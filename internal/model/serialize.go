@@ -92,8 +92,8 @@ func (m *Model) Save(w io.Writer) error {
 	for _, sub := range m.acu {
 		snap.ACU = append(snap.ACU, snapLinreg(sub))
 	}
-	for _, sub := range m.dcs {
-		snap.DCS = append(snap.DCS, snapLinreg(sub))
+	for l := range m.dcsCold {
+		snap.DCS = append(snap.DCS, snapLinreg(m.dcsFull(l)))
 	}
 	return gob.NewEncoder(w).Encode(snap)
 }
@@ -138,12 +138,20 @@ func Load(r io.Reader) (*Model, error) {
 		}
 		m.acu = append(m.acu, sub)
 	}
+	for _, k := range snap.Cfg.ColdIdx {
+		if k < 0 || k >= snap.Nd {
+			return nil, fmt.Errorf("model: cold-aisle index %d outside [0,%d)", k, snap.Nd)
+		}
+	}
+	dcs := make([]*linreg.Model, len(snap.DCS))
 	for i, s := range snap.DCS {
-		sub, err := unsnapLinreg(s)
-		if err != nil {
+		if dcs[i], err = unsnapLinreg(s); err != nil {
 			return nil, fmt.Errorf("model: DCS bank %d: %w", i, err)
 		}
-		m.dcs = append(m.dcs, sub)
+		if dcs[i].NumOutputs() != snap.Nd {
+			return nil, fmt.Errorf("model: DCS bank %d has %d outputs, want %d", i, dcs[i].NumOutputs(), snap.Nd)
+		}
 	}
+	m.setDCS(dcs)
 	return m, nil
 }

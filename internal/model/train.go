@@ -48,9 +48,11 @@ func Train(tr *dataset.Trace, cfg Config) (*Model, error) {
 	if m.acu, err = trainACU(tr, anchors, m.scale, cfg); err != nil {
 		return nil, fmt.Errorf("model: ACU sub-module: %w", err)
 	}
-	if m.dcs, err = trainDCS(tr, anchors, m.scale, cfg); err != nil {
+	dcs, err := trainDCS(tr, anchors, m.scale, cfg)
+	if err != nil {
 		return nil, fmt.Errorf("model: DCS sub-module: %w", err)
 	}
+	m.setDCS(dcs)
 	if m.energy, err = trainEnergy(tr, anchors, m.scale, cfg); err != nil {
 		return nil, fmt.Errorf("model: cooling-energy sub-module: %w", err)
 	}

@@ -139,3 +139,31 @@ func TestHistoryFromTestHelper(t *testing.T) {
 func historyFromTest(art *experiment.Artifacts, L int) (*model.History, error) {
 	return model.HistoryAt(art.Test, art.Test.Len()-L-1, L)
 }
+
+// decideAllocBudget bounds the heap allocations of one TESLA control step at
+// CI scale. The model cascade, the GP fits and the acquisition reuse their
+// storage within a decision, so what remains is per-decision setup.
+const decideAllocBudget = 600
+
+// TestDecideAllocBudget: testing.AllocsPerRun pins GOMAXPROCS to 1, so the
+// acquisition runs on one worker and the count is deterministic.
+func TestDecideAllocBudget(t *testing.T) {
+	art := sharedSystem(t).Artifacts()
+	p, err := art.NewTESLAPolicy(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	L := art.Model.Config().L
+	step := L
+	for ; step < 3*L; step++ { // let the error monitor mature predictions
+		p.Decide(art.Test, step)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		p.Decide(art.Test, step)
+		step++
+	})
+	t.Logf("%.0f allocs per Decide", allocs)
+	if allocs > decideAllocBudget {
+		t.Fatalf("Decide allocates %.0f times per step, budget %d", allocs, decideAllocBudget)
+	}
+}
