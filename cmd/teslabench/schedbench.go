@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"tesla/internal/control"
 	"tesla/internal/experiment"
 	"tesla/internal/fleet"
 	"tesla/internal/scheduler"
@@ -76,6 +75,10 @@ func runSchedBench(w io.Writer, roomsSpec string, stepsPerRoom int, seed uint64,
 		"rooms", "policy", "mode", "steps", "steps/s", "CE(kWh)", "tTSV(%)", "joint", "Δ(%)", "defer", "migr")
 	for _, rooms := range roomCounts {
 		for _, policy := range policies {
+			factory, err := experiment.PolicyFactory(policy, nil)
+			if err != nil {
+				return err
+			}
 			var noneJoint float64
 			for _, mode := range modes {
 				evalS := float64(stepsPerRoom) * 60
@@ -87,7 +90,7 @@ func runSchedBench(w io.Writer, roomsSpec string, stepsPerRoom int, seed uint64,
 					EvalS:      evalS,
 					InitSpC:    23,
 					ColdLimitC: 22,
-					NewPolicy:  schedBenchPolicy(policy),
+					NewPolicy:  factory,
 				}
 				res, err := scheduler.RunFleet(scheduler.FleetConfig{
 					Fleet: fc,
@@ -150,18 +153,4 @@ func runSchedBench(w io.Writer, roomsSpec string, stepsPerRoom int, seed uint64,
 		fmt.Fprintf(w, "  baseline written to %s\n", outPath)
 	}
 	return nil
-}
-
-// schedBenchPolicy builds the sweep's per-room policy factory.
-func schedBenchPolicy(name string) fleet.PolicyFactory {
-	return func(room int, seed uint64) (control.Policy, error) {
-		switch name {
-		case "fixed":
-			return control.Fixed{SetpointC: 23}, nil
-		case "modelfree":
-			cfg := testbed.DefaultConfig()
-			return experiment.NewModelFreePolicy(cfg.ACU.SetpointMinC, cfg.ACU.SetpointMaxC)
-		}
-		return nil, fmt.Errorf("scheduler bench: unknown policy %q", name)
-	}
 }

@@ -16,14 +16,13 @@ import (
 	"time"
 
 	"tesla"
-	"tesla/internal/control"
 	"tesla/internal/dataset"
 	"tesla/internal/experiment"
 	"tesla/internal/workload"
 )
 
 func main() {
-	policy := flag.String("policy", "tesla", "policy: fixed|tesla|lazic|tsrl")
+	policy := flag.String("policy", "tesla", "policy: fixed|modelfree|tesla|mpc|lazic|tsrl")
 	load := flag.String("load", "medium", "load setting: idle|medium|high")
 	hours := flag.Float64("hours", 12, "evaluation window in hours")
 	scale := flag.String("scale", "ci", "training scale: ci|paper")
@@ -38,43 +37,27 @@ func main() {
 }
 
 func run(policyName, loadName string, hours float64, scaleName string, seed uint64, tracePath string) error {
-	fmt.Printf("preparing models at %s scale...\n", scaleName)
-	start := time.Now()
-	sys, err := tesla.PrepareWithBaselines(tesla.ScaleName(scaleName), false)
+	set, err := workload.ParseSetting(loadName)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("prepared in %v\n", time.Since(start).Round(time.Millisecond))
 
-	var set workload.Setting
-	switch loadName {
-	case "idle":
-		set = workload.Idle
-	case "medium":
-		set = workload.Medium
-	case "high":
-		set = workload.High
-	default:
-		return fmt.Errorf("unknown load %q", loadName)
+	factory, err := experiment.PolicyFactory(policyName, func() (*experiment.Artifacts, error) {
+		fmt.Printf("preparing models at %s scale...\n", scaleName)
+		start := time.Now()
+		sys, err := tesla.PrepareWithBaselines(tesla.ScaleName(scaleName), false)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Printf("prepared in %v\n", time.Since(start).Round(time.Millisecond))
+		return sys.Artifacts(), nil
+	})
+	if err != nil {
+		return err
 	}
-
-	art := sys.Artifacts()
-	var p control.Policy
-	switch policyName {
-	case "fixed":
-		p = control.Fixed{SetpointC: 23}
-	case "tesla":
-		if p, err = art.NewTESLAPolicy(seed); err != nil {
-			return err
-		}
-	case "lazic":
-		if p, err = art.NewLazicPolicy(); err != nil {
-			return err
-		}
-	case "tsrl":
-		p = art.TSRL
-	default:
-		return fmt.Errorf("unknown policy %q", policyName)
+	p, err := factory(0, seed)
+	if err != nil {
+		return err
 	}
 
 	rc := experiment.DefaultRunConfig(p, set, seed)

@@ -12,63 +12,18 @@ import (
 	"tesla/internal/telemetry"
 )
 
-// cpOptions carries the control-plane role flags from main.
-type cpOptions struct {
-	role        string // "coordinator" or "shard"
-	id          string // shard identity (-role shard)
-	coordinator string // coordinator base URL the shard reports to
-	advertise   string // base URL the coordinator dials this shard back on
-	stepDelay   time.Duration
-	inputs      string // -inputs spec: telemetry ingest pipeline on a shard
-	gateway     bool   // -gateway: per-room Modbus field bus on a shard
-	ingOpts     ingestOptions
-}
-
-// roleFleetConfig builds the fleet configuration a control-plane role runs
-// under. Coordinator and shards MUST be launched with identical -rooms,
-// -seed, -minutes and -policy values: the fleet config is the contract that
-// lets any shard host any room, and the coordinator validates placements
-// against its own copy.
-func roleFleetConfig(rooms, minutes int, seed uint64, policyName string, dur durOptions) (fleet.Config, error) {
-	factory, err := policyFactory(policyName)
-	if err != nil {
-		return fleet.Config{}, err
-	}
-	cfg := fleet.DefaultConfig(rooms, seed, factory)
-	if minutes > 0 {
-		cfg.EvalS = float64(minutes) * 60
-	}
-	if dur.every > 0 {
-		cfg.SnapshotEvery = dur.every
-	}
-	cfg.SyncEvery = dur.sync
-	return cfg, nil
-}
-
-// runControlPlane dispatches -role coordinator|shard. Flag validation runs
-// before the fleet config is built so a bad invocation fails fast instead
-// of after model training.
-func runControlPlane(ctx context.Context, listen string, rooms, minutes int, seed uint64, policyName string, dur durOptions, cp cpOptions) error {
-	switch cp.role {
-	case "coordinator":
-	case "shard":
-		if cp.id == "" {
-			return fmt.Errorf("-role shard needs -id")
-		}
-		if dur.dir == "" {
-			return fmt.Errorf("-role shard needs -datadir (the shard's durable root; shards sharing a root get failover recovery)")
-		}
-	default:
-		return fmt.Errorf("unknown role %q (want coordinator or shard)", cp.role)
-	}
-	fcfg, err := roleFleetConfig(rooms, minutes, seed, policyName, dur)
+// runControlPlane dispatches -role coordinator|shard; parseFlags has
+// already validated the role's flags, so a bad invocation fails before
+// model training.
+func runControlPlane(ctx context.Context, o options) error {
+	fcfg, err := fleetConfig(o)
 	if err != nil {
 		return err
 	}
-	if cp.role == "coordinator" {
-		return runCoordinator(ctx, listen, fcfg, seed)
+	if o.role == "coordinator" {
+		return runCoordinator(ctx, o.listen, fcfg, o.seed)
 	}
-	return runShard(ctx, listen, fcfg, seed, dur, cp)
+	return runShard(ctx, o, fcfg)
 }
 
 // serveHandler starts an HTTP server for a control-plane role and returns
@@ -146,16 +101,16 @@ func runCoordinator(ctx context.Context, listen string, fcfg fleet.Config, seed 
 // whether or not the coordinator stays reachable. SIGINT/SIGTERM drains
 // every hosted room (checkpoint + close, locks released) so the rooms can be
 // re-hosted elsewhere.
-func runShard(ctx context.Context, listen string, fcfg fleet.Config, seed uint64, dur durOptions, cp cpOptions) error {
+func runShard(ctx context.Context, o options, fcfg fleet.Config) error {
 	shCfg := controlplane.ShardConfig{
-		ID:          cp.id,
+		ID:          o.id,
 		Fleet:       fcfg,
-		DataDir:     dur.dir,
-		StepDelay:   cp.stepDelay,
-		Coordinator: cp.coordinator,
-		Advertise:   cp.advertise,
-		Seed:        seed,
-		FieldBus:    cp.gateway,
+		DataDir:     o.datadir,
+		StepDelay:   o.stepDelay,
+		Coordinator: o.coordinator,
+		Advertise:   o.advertise,
+		Seed:        o.seed,
+		FieldBus:    o.gateway,
 	}
 	sh, err := controlplane.NewShard(shCfg)
 	if err != nil {
@@ -166,48 +121,47 @@ func runShard(ctx context.Context, listen string, fcfg fleet.Config, seed uint64
 	// ingest health. With -gateway the pipeline gets the shard's field-bus
 	// gateway, so "modbus" in -inputs sweeps the hosted rooms' ACU devices
 	// as they appear and leave (the input runs in dynamic mode).
-	if cp.inputs != "" {
+	if o.inputs != "" {
 		db := telemetry.NewDBWithRetention(telemetry.RetentionConfig{})
-		opts := cp.ingOpts
-		opts.dynamic = true
-		ing, err := startIngest(db, cp.inputs, sh.Gateway(), fcfg.ColdLimitC, fcfg.Testbed.SamplePeriodS, nil, opts)
+		opts := ingestOptions{gatherEvery: o.gatherEvery, compactEvery: o.compactEvery, dynamic: true}
+		ing, err := startIngest(db, o.inputs, sh.Gateway(), fcfg.ColdLimitC, fcfg.Testbed.SamplePeriodS, nil, opts)
 		if err != nil {
 			return fmt.Errorf("starting shard ingest pipeline: %w", err)
 		}
 		defer ing.Stop()
 		sh.SetIngestStats(ing.Stats)
-		fmt.Printf("teslad: shard %s ingest pipeline running (%s)\n", cp.id, cp.inputs)
+		fmt.Printf("teslad: shard %s ingest pipeline running (%s)\n", o.id, o.inputs)
 	}
-	ln, srvErr, drain, err := serveHandler(listen, sh.Handler())
+	ln, srvErr, drain, err := serveHandler(o.listen, sh.Handler())
 	if err != nil {
 		return err
 	}
 	defer drain()
-	if cp.coordinator != "" && cp.advertise == "" {
+	if o.coordinator != "" && o.advertise == "" {
 		// Default the advertise URL to the bound address; override with
 		// -advertise when the coordinator must dial back through NAT/proxies.
 		sh.SetAdvertise(fmt.Sprintf("http://%s", ln.Addr()))
 	}
 	sh.Start()
 	bus := ""
-	if cp.gateway {
+	if o.gateway {
 		bus = " [modbus field bus]"
 	}
-	if cp.coordinator != "" {
-		fmt.Printf("teslad: shard %s%s at http://%s reporting to %s\n", cp.id, bus, ln.Addr(), cp.coordinator)
+	if o.coordinator != "" {
+		fmt.Printf("teslad: shard %s%s at http://%s reporting to %s\n", o.id, bus, ln.Addr(), o.coordinator)
 	} else {
-		fmt.Printf("teslad: shard %s%s at http://%s (autonomous — assign rooms via POST /assign)\n", cp.id, bus, ln.Addr())
+		fmt.Printf("teslad: shard %s%s at http://%s (autonomous — assign rooms via POST /assign)\n", o.id, bus, ln.Addr())
 	}
 
 	select {
 	case <-ctx.Done():
-		fmt.Printf("teslad: signal received, shard %s draining hosted rooms\n", cp.id)
+		fmt.Printf("teslad: signal received, shard %s draining hosted rooms\n", o.id)
 	case err := <-srvErr:
 		return fmt.Errorf("shard endpoint: %w", err)
 	}
 	sh.Stop()
 	r := sh.Rollup()
 	fmt.Printf("teslad: shard %s drained — %d rooms seen, %d samples ingested (%d gaps), %.2f kWh, %d fenced assignments\n",
-		cp.id, r.Rooms, r.Samples, r.Gaps, r.CoolingKWh, sh.FencedRooms())
+		o.id, r.Rooms, r.Samples, r.Gaps, r.CoolingKWh, sh.FencedRooms())
 	return nil
 }

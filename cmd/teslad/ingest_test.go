@@ -80,7 +80,8 @@ func TestDaemonSurfacesIngestPipeline(t *testing.T) {
 		t.Fatalf("mixed batch status = %d, want 400", resp.StatusCode)
 	}
 
-	d := &daemon{ing: svc}
+	d := newDaemon([]string{"room-0"}, nil, nil)
+	d.ing = svc
 	rec := httptest.NewRecorder()
 	d.handleStatus(rec, httptest.NewRequest("GET", "/status", nil))
 	var out struct {

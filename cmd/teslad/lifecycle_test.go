@@ -26,16 +26,27 @@ type lifecycleStatus struct {
 
 var operatorLine = regexp.MustCompile(`operator http://([0-9.:]+[0-9])`)
 
-// teslladProc wraps one running teslad process for the lifecycle test.
+// tesladProc wraps one running teslad process for the lifecycle test.
 type tesladProc struct {
 	cmd  *exec.Cmd
 	addr string
 	out  *bytes.Buffer
 	mu   *sync.Mutex
 	done chan error
+	// exited closes once cmd.Wait has returned, eof once the scanner has
+	// read the pipe to its end: Wait can return before the scanner has
+	// consumed the process's last lines.
+	exited, eof chan struct{}
 }
 
+// output returns what the process has printed so far — all of it once the
+// process has exited.
 func (p *tesladProc) output() string {
+	select {
+	case <-p.exited:
+		<-p.eof
+	default:
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.out.String()
@@ -56,7 +67,8 @@ func startTeslad(t *testing.T, bin string, args ...string) *tesladProc {
 		t.Fatal(err)
 	}
 	pw.Close()
-	p := &tesladProc{cmd: cmd, out: &bytes.Buffer{}, mu: &sync.Mutex{}, done: make(chan error, 1)}
+	p := &tesladProc{cmd: cmd, out: &bytes.Buffer{}, mu: &sync.Mutex{}, done: make(chan error, 1),
+		exited: make(chan struct{}), eof: make(chan struct{})}
 	t.Cleanup(func() {
 		cmd.Process.Kill()
 		cmd.Wait()
@@ -64,6 +76,7 @@ func startTeslad(t *testing.T, bin string, args ...string) *tesladProc {
 
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(p.eof)
 		sc := bufio.NewScanner(pr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -78,7 +91,11 @@ func startTeslad(t *testing.T, bin string, args ...string) *tesladProc {
 			}
 		}
 	}()
-	go func() { p.done <- cmd.Wait() }()
+	go func() {
+		err := cmd.Wait()
+		close(p.exited)
+		p.done <- err
+	}()
 
 	select {
 	case p.addr = <-addrCh:

@@ -17,7 +17,7 @@ import (
 // control loop's update path mutates the snapshot — run under -race this is
 // the daemon's data-race regression test.
 func TestHandlersConcurrentWithUpdates(t *testing.T) {
-	d := &daemon{}
+	d := newDaemon([]string{"room-0"}, nil, nil)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -29,7 +29,7 @@ func TestHandlersConcurrentWithUpdates(t *testing.T) {
 				return
 			default:
 			}
-			d.update(func(st *status) {
+			d.update(0, func(st *roomStatus) {
 				st.StepMinutes = i
 				st.SetpointC = 23 + float64(i%5)
 				st.EnergyKWh += 0.01
@@ -45,7 +45,7 @@ func TestHandlersConcurrentWithUpdates(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				rec := httptest.NewRecorder()
 				d.handleStatus(rec, httptest.NewRequest("GET", "/status", nil))
-				var st status
+				var st roomStatus
 				if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 					t.Errorf("bad /status body: %v", err)
 					return
@@ -72,13 +72,13 @@ func TestHandlersConcurrentWithUpdates(t *testing.T) {
 }
 
 func TestStatusSnapshotIsConsistent(t *testing.T) {
-	d := &daemon{}
-	d.update(func(st *status) {
+	d := newDaemon([]string{"room-0"}, nil, nil)
+	d.update(0, func(st *roomStatus) {
 		st.StepMinutes = 42
 		st.SetpointC = 24.5
 		st.EnergyKWh = 3.25
 	})
-	st := d.snapshot()
+	st := d.snapshot()[0]
 	if st.StepMinutes != 42 || st.SetpointC != 24.5 || st.EnergyKWh != 3.25 {
 		t.Fatalf("snapshot = %+v", st)
 	}
@@ -121,7 +121,8 @@ func TestDaemonSurfacesGatewayHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := &daemon{gw: gw}
+	d := newDaemon([]string{"room-0"}, nil, nil)
+	d.gw = gw
 	rec := httptest.NewRecorder()
 	d.handleStatus(rec, httptest.NewRequest("GET", "/status", nil))
 	var body struct {

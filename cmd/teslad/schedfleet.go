@@ -2,91 +2,24 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
-	"tesla"
-	"tesla/internal/control"
 	"tesla/internal/experiment"
-	"tesla/internal/fleet"
 	"tesla/internal/scheduler"
-	"tesla/internal/testbed"
 )
 
-// policyFactory maps -policy to a per-room controller factory. tesla and mpc
-// need trained artifacts (one CI-scale Prepare shared across every room);
-// fixed and modelfree boot cold, which is what makes them deployable on a
-// fleet with no training pipeline attached.
-func policyFactory(policyName string) (fleet.PolicyFactory, error) {
-	switch policyName {
-	case "tesla", "mpc":
-		fmt.Println("teslad: training models (ci scale)...")
-		sys, err := tesla.PrepareWithBaselines(tesla.ScaleCI, false)
-		if err != nil {
-			return nil, err
-		}
-		a := sys.Artifacts()
-		if policyName == "mpc" {
-			return func(room int, polSeed uint64) (control.Policy, error) {
-				return a.NewMPCPolicy()
-			}, nil
-		}
-		return func(room int, polSeed uint64) (control.Policy, error) {
-			return a.NewTESLAPolicy(polSeed)
-		}, nil
-	case "fixed":
-		return func(room int, polSeed uint64) (control.Policy, error) {
-			return control.Fixed{SetpointC: 23}, nil
-		}, nil
-	case "modelfree":
-		cfg := testbed.DefaultConfig()
-		return func(room int, polSeed uint64) (control.Policy, error) {
-			return experiment.NewModelFreePolicy(cfg.ACU.SetpointMinC, cfg.ACU.SetpointMaxC)
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown policy %q (want tesla, fixed, mpc or modelfree)", policyName)
-}
-
-// schedRoomStatus is the operator snapshot of one room in the scheduled
-// fleet, refreshed at every step barrier from the room's delivered telemetry.
-type schedRoomStatus struct {
-	Room       int     `json:"room"`
-	Name       string  `json:"name"`
-	SetpointC  float64 `json:"setpoint_c"`
-	MaxColdC   float64 `json:"max_cold_c"`
-	ACUDuty    float64 `json:"acu_duty"`
-	ACUPowerKW float64 `json:"acu_power_kw"`
-	ITPowerKW  float64 `json:"it_power_kw"`
-	EnergyKWh  float64 `json:"energy_kwh"`
-	Violations int     `json:"violation_minutes"`
-	// QueueDepth counts the batch jobs currently placed on this room.
-	QueueDepth int `json:"queue_depth"`
-}
-
-// schedDaemon is the shared state behind `teslad -scheduler`: per-room
-// snapshots plus the scheduler's counters and queue outcome, published by the
-// lockstep loop once a barrier and read by the operator endpoints.
+// schedDaemon is the shared state behind `teslad -scheduler`: the per-room
+// snapshots (embedded daemon) plus the scheduler's counters and queue
+// outcome, published by the lockstep loop once a barrier and read by the
+// operator endpoints.
 type schedDaemon struct {
-	mu      sync.RWMutex
-	mode    string
-	periodS float64
-	step    int
-	rooms   []schedRoomStatus
-	sched   scheduler.Counters
-	jobs    scheduler.JobStats
-}
-
-func newSchedDaemon(mode string, names []string, periodS float64) *schedDaemon {
-	sd := &schedDaemon{mode: mode, periodS: periodS, rooms: make([]schedRoomStatus, len(names))}
-	for i, name := range names {
-		sd.rooms[i] = schedRoomStatus{Room: i, Name: name}
-	}
-	return sd
+	*daemon
+	mode  string
+	sched scheduler.Counters
+	jobs  scheduler.JobStats
 }
 
 // publish refreshes the snapshot from the harness at a step barrier. The
@@ -94,24 +27,13 @@ func newSchedDaemon(mode string, names []string, periodS float64) *schedDaemon {
 func (sd *schedDaemon) publish(h *scheduler.Harness) {
 	c := h.Scheduler().Counters()
 	js := h.Scheduler().Stats(h.Now())
-	sd.mu.Lock()
-	sd.step++
-	sd.sched = c
-	sd.jobs = js
-	for i := range sd.rooms {
-		s := h.LastSample(i)
-		rs := &sd.rooms[i]
-		rs.SetpointC = s.SetpointC
-		rs.MaxColdC = s.MaxColdAisle
-		rs.ACUDuty = s.ACUDuty
-		rs.ACUPowerKW = s.ACUPowerKW
-		rs.ITPowerKW = s.TotalIT
-		rs.EnergyKWh += s.ACUPowerKW * sd.periodS / 3600
-		if s.MaxColdAisle > coldLimitC {
-			rs.Violations++
-		}
-		rs.QueueDepth = c.RoomQueue[rs.Name]
+	rooms := make([]roomStatus, len(sd.rooms))
+	for i := range rooms {
+		rooms[i] = statusOf(h.Runner(i), false)
+		rooms[i].QueueDepth = c.RoomQueue[rooms[i].Name]
 	}
+	sd.mu.Lock()
+	sd.rooms, sd.sched, sd.jobs = rooms, c, js
 	sd.mu.Unlock()
 }
 
@@ -122,34 +44,18 @@ func (sd *schedDaemon) handleFleet(w http.ResponseWriter, _ *http.Request) {
 	out := struct {
 		Mode        string             `json:"scheduler_mode"`
 		StepMinutes int                `json:"step_minutes"`
-		Rooms       []schedRoomStatus  `json:"rooms"`
+		Rooms       []roomStatus       `json:"rooms"`
 		Sched       scheduler.Counters `json:"sched"`
 		Jobs        scheduler.JobStats `json:"jobs"`
 	}{
-		Mode:        sd.mode,
-		StepMinutes: sd.step,
-		Rooms:       append([]schedRoomStatus(nil), sd.rooms...),
-		Sched:       sd.sched.Clone(),
-		Jobs:        sd.jobs,
+		Mode:  sd.mode,
+		Rooms: append([]roomStatus(nil), sd.rooms...),
+		Sched: sd.sched.Clone(),
+		Jobs:  sd.jobs,
 	}
 	sd.mu.RUnlock()
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// handleHealthz is the readiness probe: 503 until the first barrier publishes.
-func (sd *schedDaemon) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	sd.mu.RLock()
-	step := sd.step
-	sd.mu.RUnlock()
-	if step == 0 {
-		http.Error(w, "warming up", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain")
-	fmt.Fprintln(w, "ok")
+	out.StepMinutes = out.Rooms[0].StepMinutes // the rooms step in lockstep
+	writeJSON(w, out)
 }
 
 // handleMetrics serves the scheduler's Prometheus exposition: the
@@ -159,9 +65,9 @@ func (sd *schedDaemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	sd.mu.RLock()
 	c := sd.sched.Clone()
 	jobs := sd.jobs
-	rooms := append([]schedRoomStatus(nil), sd.rooms...)
-	step := sd.step
+	rooms := append([]roomStatus(nil), sd.rooms...)
 	sd.mu.RUnlock()
+	step := rooms[0].StepMinutes
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprintf(w, "# TYPE tesla_sched_step_minutes counter\ntesla_sched_step_minutes %d\n", step)
@@ -212,34 +118,22 @@ func writeSchedMigrations(w http.ResponseWriter, c scheduler.Counters) {
 // global batch scheduler reads each room's telemetry and places, defers or
 // migrates jobs before the fleet steps again. The run is deterministic in
 // (-rooms, -seed, -policy, -scheduler) and independent of the worker count.
-func runSchedFleet(ctx context.Context, listen string, rooms, minutes int, speedup float64, seed uint64, policyName, schedMode string, dur durOptions) error {
-	mode, err := scheduler.ParseMode(schedMode)
+func runSchedFleet(ctx context.Context, o options) error {
+	mode, err := scheduler.ParseMode(o.sched)
 	if err != nil {
 		return err
 	}
-	if minutes <= 0 {
+	if o.minutes <= 0 {
 		return fmt.Errorf("-scheduler needs a finite horizon: set -minutes > 0")
 	}
-	if dur.dir != "" {
-		return fmt.Errorf("-scheduler does not support -datadir: the lockstep fleet is in-memory")
-	}
-	factory, err := policyFactory(policyName)
+	fc, err := fleetConfig(o)
 	if err != nil {
 		return err
 	}
-
-	evalS := float64(minutes) * 60
-	fc := fleet.Config{
-		Testbed:    testbed.DefaultConfig(),
-		Rooms:      experiment.TiledSpecs(rooms, seed),
-		Seed:       seed,
-		WarmupS:    600,
-		EvalS:      evalS,
-		InitSpC:    23,
-		ColdLimitC: coldLimitC,
-		NewPolicy:  factory,
-	}
-	jobs := experiment.ScaledSchedJobs(rooms, evalS)
+	rooms := o.rooms
+	fc.Rooms = experiment.TiledSpecs(rooms, o.seed)
+	fc.WarmupS = 600
+	jobs := experiment.ScaledSchedJobs(rooms, fc.EvalS)
 	h, err := scheduler.NewHarness(scheduler.FleetConfig{
 		Fleet: fc,
 		Sched: scheduler.DefaultConfig(mode),
@@ -253,27 +147,20 @@ func runSchedFleet(ctx context.Context, listen string, rooms, minutes int, speed
 	for i := range names {
 		names[i] = fc.RoomName(i)
 	}
-	sd := newSchedDaemon(mode.String(), names, fc.Testbed.SamplePeriodS)
+	sd := &schedDaemon{daemon: newDaemon(names, nil, nil), mode: mode.String()}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/fleet", sd.handleFleet)
 	mux.HandleFunc("/status", sd.handleFleet)
 	mux.HandleFunc("/metrics", sd.handleMetrics)
 	mux.HandleFunc("/healthz", sd.handleHealthz)
-	ln, err := net.Listen("tcp", listen)
+	ln, srvErr, drain, err := serveHandler(o.listen, mux)
 	if err != nil {
 		h.Abandon()
 		return err
 	}
-	httpSrv := &http.Server{Handler: mux}
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- httpSrv.Serve(ln) }()
-	defer func() {
-		shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shCtx)
-	}()
+	defer drain()
 	fmt.Printf("teslad: scheduled fleet of %d rooms (scheduler %s, policy %s), %d batch jobs queued, operator http://%s\n",
-		rooms, mode, policyName, len(jobs), ln.Addr())
+		rooms, mode, o.policy, len(jobs), ln.Addr())
 
 	for !h.Done() {
 		select {
@@ -294,8 +181,8 @@ func runSchedFleet(ctx context.Context, listen string, rooms, minutes int, speed
 			return err
 		}
 		sd.publish(h)
-		if speedup > 0 {
-			if !sleepCtx(ctx, time.Duration(fc.Testbed.SamplePeriodS/speedup*float64(time.Second))) {
+		if o.speedup > 0 {
+			if !sleepCtx(ctx, time.Duration(fc.Testbed.SamplePeriodS/o.speedup*float64(time.Second))) {
 				fmt.Println("teslad: signal received, abandoning scheduled fleet")
 				h.Abandon()
 				return nil
@@ -307,7 +194,7 @@ func runSchedFleet(ctx context.Context, listen string, rooms, minutes int, speed
 		return err
 	}
 	fmt.Printf("teslad: scheduled fleet done: %d rooms × %d steps, %.2f kWh cooling, %.2f%% true TSV, joint %.2f\n",
-		rooms, minutes, res.CoolingKWh, 100*res.TrueTSVFrac, res.JointScore)
+		rooms, o.minutes, res.CoolingKWh, 100*res.TrueTSVFrac, res.JointScore)
 	fmt.Printf("teslad: scheduler: %d placements, %d deferrals, %d migrations; %d/%d jobs completed, mean wait %.0fs\n",
 		res.Sched.Placements, res.Sched.Deferrals, res.Sched.MigrationsTotal(),
 		res.Jobs.Completed, res.Jobs.Submitted, res.Jobs.MeanWaitS)

@@ -7,12 +7,17 @@ import (
 	"strings"
 	"testing"
 
+	"tesla/internal/experiment"
 	"tesla/internal/scheduler"
 )
 
 func TestPolicyFactoryColdPoliciesBootWithoutTraining(t *testing.T) {
+	train := func() (*experiment.Artifacts, error) {
+		t.Fatal("a training-free policy asked for trained models")
+		return nil, nil
+	}
 	for _, name := range []string{"fixed", "modelfree"} {
-		factory, err := policyFactory(name)
+		factory, err := experiment.PolicyFactory(name, train)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -20,15 +25,15 @@ func TestPolicyFactoryColdPoliciesBootWithoutTraining(t *testing.T) {
 			t.Fatalf("%s: building room policy: %v", name, err)
 		}
 	}
-	if _, err := policyFactory("nope"); err == nil {
+	if _, err := experiment.PolicyFactory("nope", train); err == nil {
 		t.Fatal("unknown policy must be rejected")
 	}
 }
 
 // testSchedDaemon fabricates a published scheduled-fleet snapshot.
 func testSchedDaemon() *schedDaemon {
-	sd := newSchedDaemon("full", []string{"room-0", "room-1"}, 60)
-	sd.step = 7
+	sd := &schedDaemon{daemon: newDaemon([]string{"room-0", "room-1"}, nil, nil), mode: "full"}
+	sd.rooms[0].StepMinutes, sd.rooms[1].StepMinutes = 7, 7
 	sd.sched = scheduler.Counters{
 		Placements: 4, Deferrals: 2, Waiting: 1, RunningJobs: 2, CompletedJobs: 1,
 		Migrations: map[string]uint64{scheduler.ReasonThermal: 1},
@@ -47,7 +52,7 @@ func TestSchedFleetEndpointServesCountersAndRooms(t *testing.T) {
 	sd.handleFleet(rec, httptest.NewRequest("GET", "/fleet", nil))
 	var out struct {
 		Mode  string             `json:"scheduler_mode"`
-		Rooms []schedRoomStatus  `json:"rooms"`
+		Rooms []roomStatus       `json:"rooms"`
 		Sched scheduler.Counters `json:"sched"`
 		Jobs  scheduler.JobStats `json:"jobs"`
 	}
@@ -71,6 +76,7 @@ func TestSchedFleetMetricsExposeSchedulerCounters(t *testing.T) {
 	sd.handleMetrics(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
+		"tesla_sched_step_minutes 7",
 		"tesla_sched_placements_total 4",
 		"tesla_sched_deferrals_total 2",
 		`tesla_sched_migrations_total{reason="thermal"} 1`,
@@ -88,13 +94,13 @@ func TestSchedFleetMetricsExposeSchedulerCounters(t *testing.T) {
 }
 
 func TestSchedFleetHealthzWaitsForFirstBarrier(t *testing.T) {
-	sd := newSchedDaemon("defer", []string{"room-0"}, 60)
+	sd := &schedDaemon{daemon: newDaemon([]string{"room-0"}, nil, nil), mode: "defer"}
 	rec := httptest.NewRecorder()
 	sd.handleHealthz(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 503 {
 		t.Fatalf("pre-first-barrier healthz -> %d, want 503", rec.Code)
 	}
-	sd.step = 1
+	sd.update(0, func(rs *roomStatus) { rs.StepMinutes = 1 })
 	rec = httptest.NewRecorder()
 	sd.handleHealthz(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 200 {
@@ -106,20 +112,27 @@ func TestSchedFleetHealthzWaitsForFirstBarrier(t *testing.T) {
 // tiny horizon with the training-free policy: warm-up, lockstep stepping with
 // scheduler barriers, operator endpoints bound, clean summary.
 func TestRunSchedFleetCompletes(t *testing.T) {
-	err := runSchedFleet(context.Background(), "127.0.0.1:0", 2, 3, 0, 77, "fixed", "full", durOptions{})
+	err := run(context.Background(), mustParse(t, "-rooms", "2", "-minutes", "3", "-seed", "77", "-policy", "fixed", "-scheduler", "full"))
 	if err != nil {
 		t.Fatalf("runSchedFleet: %v", err)
 	}
 }
 
 func TestRunSchedFleetRejectsBadFlags(t *testing.T) {
-	if err := runSchedFleet(context.Background(), "127.0.0.1:0", 2, 0, 0, 77, "fixed", "full", durOptions{}); err == nil {
+	runArgs := func(args ...string) error {
+		o, err := parseFlags(append([]string{"-listen", "127.0.0.1:0", "-rooms", "2", "-seed", "77", "-policy", "fixed"}, args...))
+		if err != nil {
+			return err
+		}
+		return run(context.Background(), o)
+	}
+	if err := runArgs("-minutes", "0", "-scheduler", "full"); err == nil {
 		t.Fatal("minutes 0 must be rejected")
 	}
-	if err := runSchedFleet(context.Background(), "127.0.0.1:0", 2, 3, 0, 77, "fixed", "bogus", durOptions{}); err == nil {
+	if err := runArgs("-minutes", "3", "-scheduler", "bogus"); err == nil {
 		t.Fatal("bad scheduler mode must be rejected")
 	}
-	if err := runSchedFleet(context.Background(), "127.0.0.1:0", 2, 3, 0, 77, "fixed", "full", durOptions{dir: t.TempDir()}); err == nil {
+	if err := runArgs("-minutes", "3", "-scheduler", "full", "-datadir", t.TempDir()); err == nil {
 		t.Fatal("-datadir must be rejected in scheduler mode")
 	}
 }

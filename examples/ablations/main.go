@@ -34,16 +34,9 @@ func main() {
 	}
 	art := sys.Artifacts()
 
-	var load workload.Setting
-	switch *loadName {
-	case "idle":
-		load = workload.Idle
-	case "medium":
-		load = workload.Medium
-	case "high":
-		load = workload.High
-	default:
-		log.Fatalf("unknown load %q", *loadName)
+	load, err := workload.ParseSetting(*loadName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	study, err := experiment.RunAblations(art, load, *hours*3600, 31)

@@ -6,6 +6,7 @@ import (
 	"tesla/internal/baselines"
 	"tesla/internal/control"
 	"tesla/internal/dataset"
+	"tesla/internal/fleet"
 	"tesla/internal/mlp"
 	"tesla/internal/model"
 	"tesla/internal/testbed"
@@ -107,28 +108,54 @@ func (a *Artifacts) NewTESLAPolicy(seed uint64) (*control.TESLA, error) {
 	return control.NewTESLA(a.Model, cfg)
 }
 
-// NewPolicy builds a fresh policy instance by table name ("fixed", "tesla",
-// "lazic", "tsrl", "mpc", "modelfree"). Sweeps that fan runs out in parallel
-// call it once per run: tesla, lazic, mpc and modelfree controllers carry
-// per-run state so each run needs its own instance, while the returned TSRL
-// policy is the shared trained table (its Decide only reads) and Fixed is a
-// value.
-func (a *Artifacts) NewPolicy(name string, seed uint64) (control.Policy, error) {
+// PolicyFactory is the one policy-name registry: it resolves name ("fixed",
+// "modelfree", "tesla", "mpc", "lazic", "tsrl") to a per-room factory.
+// fixed and modelfree need no training and never call train; the other
+// names call it once, here, for the artifacts they are built from (train
+// may be nil when a caller only runs the training-free policies). Sweeps
+// that fan runs out in parallel call the factory once per run: tesla,
+// lazic, mpc and modelfree controllers carry per-run state so each run needs
+// its own instance, while the returned TSRL policy is the shared trained
+// table (its Decide only reads) and Fixed is a value.
+func PolicyFactory(name string, train func() (*Artifacts, error)) (fleet.PolicyFactory, error) {
 	switch name {
 	case "fixed":
-		return control.Fixed{SetpointC: 23}, nil
-	case "tesla":
-		return a.NewTESLAPolicy(seed)
-	case "lazic":
-		return a.NewLazicPolicy()
-	case "tsrl":
-		return a.TSRL, nil
-	case "mpc":
-		return a.NewMPCPolicy()
+		return func(int, uint64) (control.Policy, error) { return control.Fixed{SetpointC: 23}, nil }, nil
 	case "modelfree":
-		return a.NewModelFreePolicy()
+		tb := testbed.DefaultConfig()
+		return func(int, uint64) (control.Policy, error) {
+			return NewModelFreePolicy(tb.ACU.SetpointMinC, tb.ACU.SetpointMaxC)
+		}, nil
+	case "tesla", "mpc", "lazic", "tsrl":
+	default:
+		return nil, fmt.Errorf("experiment: unknown policy %q (want fixed, modelfree, tesla, mpc, lazic or tsrl)", name)
 	}
-	return nil, fmt.Errorf("experiment: unknown policy %q", name)
+	if train == nil {
+		return nil, fmt.Errorf("experiment: policy %q needs trained models", name)
+	}
+	a, err := train()
+	if err != nil {
+		return nil, err
+	}
+	switch name {
+	case "tesla":
+		return func(_ int, seed uint64) (control.Policy, error) { return a.NewTESLAPolicy(seed) }, nil
+	case "mpc":
+		return func(int, uint64) (control.Policy, error) { return a.NewMPCPolicy() }, nil
+	case "lazic":
+		return func(int, uint64) (control.Policy, error) { return a.NewLazicPolicy() }, nil
+	}
+	return func(int, uint64) (control.Policy, error) { return a.TSRL, nil }, nil
+}
+
+// NewPolicy builds a fresh policy instance by registry name from these
+// artifacts (see PolicyFactory).
+func (a *Artifacts) NewPolicy(name string, seed uint64) (control.Policy, error) {
+	f, err := PolicyFactory(name, func() (*Artifacts, error) { return a, nil })
+	if err != nil {
+		return nil, err
+	}
+	return f(0, seed)
 }
 
 // NewLazicPolicy builds the Lazic MPC controller from the artifacts.

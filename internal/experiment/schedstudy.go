@@ -132,12 +132,6 @@ func (a *Artifacts) NewMPCPolicy() (*control.MPC, error) {
 // NewModelFreePolicy builds the training-free intelligent-P baseline. It
 // needs no artifacts beyond the testbed's set-point range, which is what
 // makes it deployable on a cold fleet (teslad -policy modelfree).
-func (a *Artifacts) NewModelFreePolicy() (*control.ModelFree, error) {
-	return NewModelFreePolicy(a.TBConf.ACU.SetpointMinC, a.TBConf.ACU.SetpointMaxC)
-}
-
-// NewModelFreePolicy is the artifact-less constructor behind -policy
-// modelfree.
 func NewModelFreePolicy(spMin, spMax float64) (*control.ModelFree, error) {
 	coldIdx := make([]int, 11)
 	for i := range coldIdx {

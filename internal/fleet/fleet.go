@@ -97,7 +97,9 @@ type Config struct {
 	// WarmupS runs each room under InitSpC before evaluation (recorded, so
 	// policies have history; must cover at least one control step).
 	WarmupS float64
-	// EvalS is the controlled evaluation window per room.
+	// EvalS is the controlled evaluation window per room. +Inf is an open
+	// horizon: the room steps until its host drains it, so only a Runner
+	// host can use it (Run would never return).
 	EvalS float64
 	// InitSpC is the warm-up set-point.
 	InitSpC float64
@@ -176,10 +178,13 @@ func DefaultConfig(n int, seed uint64, newPolicy PolicyFactory) Config {
 }
 
 // DiurnalSpecs builds n healthy room specs with heterogeneous diurnal loads:
-// room i cycles through medium/high/idle and draws its burst pattern from
-// its own substream, so no two rooms see the same load trace.
-func DiurnalSpecs(n int, seed uint64) []RoomSpec {
-	loads := []workload.Setting{workload.Medium, workload.High, workload.Idle}
+// room i cycles through loads (medium/high/idle when none are given) and
+// draws its burst pattern from its own substream, so no two rooms see the
+// same load trace.
+func DiurnalSpecs(n int, seed uint64, loads ...workload.Setting) []RoomSpec {
+	if len(loads) == 0 {
+		loads = []workload.Setting{workload.Medium, workload.High, workload.Idle}
+	}
 	specs := make([]RoomSpec, n)
 	for i := range specs {
 		specs[i] = RoomSpec{
@@ -195,13 +200,6 @@ func DiurnalSpecs(n int, seed uint64) []RoomSpec {
 func testbedStream(stream uint64) uint64 { return 4 * stream }
 func policyStream(stream uint64) uint64  { return 4*stream + 1 }
 func profileStream(stream uint64) uint64 { return 4*stream + 2 }
-
-// RoomSeeds resolves the testbed and policy seeds for one room stream —
-// exported so live runners (teslad -rooms) derive exactly the substreams Run
-// uses and stay trajectory-compatible with batch fleet runs.
-func RoomSeeds(fleetSeed, stream uint64) (testbedSeed, policySeed uint64) {
-	return rng.SeedFor(fleetSeed, testbedStream(stream)), rng.SeedFor(fleetSeed, policyStream(stream))
-}
 
 // Validate reports unusable configurations.
 func (c *Config) Validate() error {

@@ -86,12 +86,10 @@ func decodeHarness(blob []byte) (harnessState, error) {
 }
 
 // openStore opens the room's WAL + snapshot store and files the recovered
-// records and checkpoint for warmup/replay to consume.
-func (rr *roomRun) openStore(dir string) error { return rr.openStoreAs(dir, "") }
-
-// openStoreAs is openStore with an explicit lock-holder identity, so a
-// refused single-writer lock names the host that owns the room.
-func (rr *roomRun) openStoreAs(dir, holder string) error {
+// records and checkpoint for warmup/replay to consume. holder names this
+// host in the lock file, so a refused single-writer lock names the host that
+// owns the room.
+func (rr *roomRun) openStore(dir, holder string) error {
 	st, rec, err := store.Open(dir, store.Options{WAL: store.WALOptions{SyncEvery: rr.cfg.SyncEvery}, LockHolder: holder})
 	if err != nil {
 		return fmt.Errorf("fleet: room %s: %w", rr.res.Name, err)

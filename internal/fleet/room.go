@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"path/filepath"
 	"time"
 
 	"tesla/internal/control"
@@ -34,6 +33,9 @@ type roomRun struct {
 	tr    *dataset.Trace
 	st    *store.Store
 	q     *telemetry.Queue
+	// storeStats is the store's final accounting, kept once closeStore has
+	// flushed and closed it.
+	storeStats store.Stats
 
 	res  RoomResult
 	hash uint64
@@ -177,6 +179,9 @@ func newRoomRun(cfg *Config, idx int, q *telemetry.Queue) (*roomRun, error) {
 	rr.tr = dataset.NewTrace(rr.tbCfg.SamplePeriodS, len(tb.Sensors.ACU), len(tb.Sensors.DC))
 	rr.warmSteps = int(cfg.WarmupS / rr.tbCfg.SamplePeriodS)
 	rr.evalSteps = int(cfg.EvalS / rr.tbCfg.SamplePeriodS)
+	if math.IsInf(cfg.EvalS, 1) {
+		rr.evalSteps = math.MaxInt
+	}
 	rr.res.PlannedSteps = rr.evalSteps
 	return rr, nil
 }
@@ -234,10 +239,8 @@ func (rr *roomRun) snapInterval() int {
 }
 
 // stepOnce executes evaluation step i live: decide, actuate, sample, push
-// telemetry, fold accumulators, log, checkpoint on the interval. The body is
-// shared by the batch loop (run) and the step-wise Runner the control plane
-// hosts, so both produce the same bits.
-func (rr *roomRun) stepOnce(i int, d control.Durable, durable bool, snapEvery int) error {
+// telemetry, fold accumulators, log, checkpoint on the interval.
+func (rr *roomRun) stepOnce(i int) error {
 	stepStart := time.Now()
 	sp := rr.sup.Decide(rr.tr, rr.tr.Len()-1)
 	if rr.cfg.Quantize != nil {
@@ -259,7 +262,9 @@ func (rr *roomRun) stepOnce(i int, d control.Durable, durable bool, snapEvery in
 	if rr.spec.StallPerStep > 0 {
 		time.Sleep(rr.spec.StallPerStep)
 	}
-	rr.res.latencies = append(rr.res.latencies, time.Since(stepStart))
+	if rr.res.latencies != nil {
+		rr.res.latencies = append(rr.res.latencies, time.Since(stepStart))
+	}
 
 	// Non-blocking by construction: a full queue evicts and counts, so
 	// telemetry backpressure can never stall this loop.
@@ -274,7 +279,7 @@ func (rr *roomRun) stepOnce(i int, d control.Durable, durable bool, snapEvery in
 		if err := rr.st.AppendRecord(&rec); err != nil {
 			return fmt.Errorf("fleet: room %s: %w", rr.res.Name, err)
 		}
-		if durable && (i+1)%snapEvery == 0 && i+1 < rr.evalSteps {
+		if d, ok := rr.durablePolicy(); ok && (i+1)%rr.snapInterval() == 0 && i+1 < rr.evalSteps {
 			if err := rr.writeCheckpoint(d, i+1); err != nil {
 				return fmt.Errorf("fleet: room %s: checkpoint: %w", rr.res.Name, err)
 			}
@@ -295,86 +300,71 @@ func (rr *roomRun) closeStore() error {
 			return fmt.Errorf("fleet: room %s: final checkpoint: %w", rr.res.Name, err)
 		}
 	}
-	if err := rr.st.Close(); err != nil {
+	err := rr.st.Close()
+	rr.storeStats = rr.st.Stats()
+	rr.st = nil
+	if err != nil {
 		return fmt.Errorf("fleet: room %s: closing store: %w", rr.res.Name, err)
 	}
-	rr.st = nil
 	return nil
 }
 
-// run executes the room's remaining horizon live: decide, actuate, log,
-// checkpoint. When the HaltAfter crash hook fires the store is abandoned the
-// way a killed process leaves it — unflushed buffer lost, lock released by
-// descriptor death, tail possibly torn.
-func (rr *roomRun) run() error {
-	cfg := rr.cfg
-	d, durable := rr.durablePolicy()
-	snapEvery := rr.snapInterval()
-
-	rr.res.latencies = make([]time.Duration, 0, rr.evalSteps-rr.startStep)
-	for i := rr.startStep; i < rr.evalSteps; i++ {
-		if cfg.HaltAfter > 0 && i == cfg.HaltAfter {
-			rr.res.Halted = true
-			if rr.st != nil {
-				rr.st.Abandon()
-				rr.st = nil
-			}
-			return nil
-		}
-		if err := rr.stepOnce(i, d, durable, snapEvery); err != nil {
-			return err
-		}
+// presizeLatencies reserves one latency slot per remaining evaluation step,
+// so the live loop never grows the slice. An open horizon records none:
+// nothing ever reads them, and the slice would grow without bound.
+func (rr *roomRun) presizeLatencies() {
+	if rr.evalSteps < math.MaxInt {
+		rr.res.latencies = make([]time.Duration, 0, rr.evalSteps-rr.startStep)
 	}
-	return rr.closeStore()
 }
 
-// finish divides the accumulators and collects the supervisor's counters.
+// finish divides a copy of the accumulators and collects the supervisor's
+// counters; the room's own running sums stay intact for Runner.Status.
 func (rr *roomRun) finish() RoomResult {
-	if rr.res.Steps > 0 {
-		rr.res.TSVFrac /= float64(rr.res.Steps)
-		rr.res.TrueTSVFrac /= float64(rr.res.Steps)
-		rr.res.CIFrac /= float64(rr.res.Steps)
-		rr.res.MeanSp /= float64(rr.res.Steps)
+	res := rr.res
+	if res.Steps > 0 {
+		res.TSVFrac /= float64(res.Steps)
+		res.TrueTSVFrac /= float64(res.Steps)
+		res.CIFrac /= float64(res.Steps)
+		res.MeanSp /= float64(res.Steps)
 	}
-	rr.res.TrajectoryHash = rr.hash
+	res.TrajectoryHash = rr.hash
 
 	st := rr.sup.Stats()
-	rr.res.SafetyMax = rr.sup.MaxLevel()
-	rr.res.Degraded = rr.res.SafetyMax > safety.LevelNormal
-	rr.res.Escalations = st.Escalations
-	rr.res.Overrides = st.Overrides
-	rr.res.Quarantines = st.QuarantineEvents
-	_, rr.res.QueueDropped = rr.q.Stats()
+	res.SafetyMax = rr.sup.MaxLevel()
+	res.Degraded = res.SafetyMax > safety.LevelNormal
+	res.Escalations = st.Escalations
+	res.Overrides = st.Overrides
+	res.Quarantines = st.QuarantineEvents
+	_, res.QueueDropped = rr.q.Stats()
 
-	lat := append([]time.Duration(nil), rr.res.latencies...)
+	lat := append([]time.Duration(nil), res.latencies...)
 	ls := ComputeLatencyStats(lat)
-	rr.res.LatencyP50, rr.res.LatencyP99 = ls.P50, ls.P99
-	return rr.res
+	res.LatencyP50, res.LatencyP99 = ls.P50, ls.P99
+	return res
 }
 
-// runRoom executes one room's full horizon. With durability enabled the room
-// first recovers whatever a previous process persisted under
-// DataDir/<room-name>, replays the WAL tail through the real decision path,
-// and only then continues live — landing on the exact trajectory of a run
-// that never stopped.
+// runRoom executes one room's full horizon on a Runner. With durability
+// enabled the room first recovers whatever a previous process persisted
+// under DataDir/<room-name>, replays the WAL tail through the real decision
+// path, and only then continues live — landing on the exact trajectory of a
+// run that never stopped. When the HaltAfter crash hook fires the store is
+// abandoned the way a killed process leaves it — unflushed buffer lost, lock
+// released by descriptor death, tail possibly torn.
 func runRoom(cfg *Config, idx int, q *telemetry.Queue) (RoomResult, error) {
-	rr, err := newRoomRun(cfg, idx, q)
+	r, err := NewRunner(*cfg, idx, q, "")
 	if err != nil {
 		return RoomResult{Room: idx, Name: cfg.nameOf(idx)}, err
 	}
-	if cfg.DataDir != "" {
-		if err := rr.openStore(filepath.Join(cfg.DataDir, rr.res.Name)); err != nil {
-			return rr.res, err
+	for !r.Done() {
+		if cfg.HaltAfter > 0 && r.next == cfg.HaltAfter {
+			r.Abandon()
+			r.rr.res.Halted = true
+			return r.rr.finish(), nil
+		}
+		if err := r.Step(); err != nil {
+			return r.rr.res, err
 		}
 	}
-	if err := rr.warmup(); err != nil {
-		return rr.res, err
-	}
-	if err := rr.replay(); err != nil {
-		return rr.res, err
-	}
-	if err := rr.run(); err != nil {
-		return rr.res, err
-	}
-	return rr.finish(), nil
+	return r.Finish()
 }

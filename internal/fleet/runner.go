@@ -3,29 +3,27 @@ package fleet
 import (
 	"fmt"
 	"path/filepath"
-	"time"
 
 	"tesla/internal/control"
+	"tesla/internal/safety"
+	"tesla/internal/store"
 	"tesla/internal/telemetry"
 	"tesla/internal/testbed"
 )
 
 // Runner is the step-wise form of one room's control loop, built for hosts
-// that need to start, pause, hand off or kill a room mid-horizon — the
-// sharded control plane. It drives exactly the same code path as Run's batch
-// loop (construction, recovery, per-step execution and accumulator folding
-// are shared with roomRun), so a room stepped by a Runner produces the same
-// trajectory hash, bit for bit, as the same room inside a batch fleet run.
+// that need to start, pause, hand off or kill a room mid-horizon — teslad's
+// rooms, the scheduler harness and the sharded control plane. Run's batch
+// loop steps each room through a Runner too, so a room stepped by any host
+// produces the same trajectory hash, bit for bit, as the same room inside a
+// batch fleet run.
 //
 // A Runner is not safe for concurrent use; give each room one goroutine.
 type Runner struct {
-	rr      *roomRun
-	cfg     Config
-	d       control.Durable
-	durable bool
-	snap    int
-	next    int
-	closed  bool
+	rr     *roomRun
+	cfg    Config
+	next   int
+	closed bool
 }
 
 // NewRunner builds, recovers and warms up room idx of cfg, leaving the
@@ -57,7 +55,7 @@ func NewRunner(cfg Config, idx int, q *telemetry.Queue, lockHolder string) (*Run
 	}
 	r.rr = rr
 	if r.cfg.DataDir != "" {
-		if err := rr.openStoreAs(filepath.Join(r.cfg.DataDir, rr.res.Name), lockHolder); err != nil {
+		if err := rr.openStore(filepath.Join(r.cfg.DataDir, rr.res.Name), lockHolder); err != nil {
 			return nil, err
 		}
 	}
@@ -69,10 +67,8 @@ func NewRunner(cfg Config, idx int, q *telemetry.Queue, lockHolder string) (*Run
 		r.abandonStore()
 		return nil, err
 	}
-	r.d, r.durable = rr.durablePolicy()
-	r.snap = rr.snapInterval()
 	r.next = rr.startStep
-	rr.res.latencies = make([]time.Duration, 0, rr.evalSteps-rr.startStep)
+	rr.presizeLatencies()
 	return r, nil
 }
 
@@ -127,7 +123,7 @@ func (r *Runner) Step() error {
 	if r.Done() {
 		return fmt.Errorf("fleet: room %s: horizon complete", r.rr.res.Name)
 	}
-	if err := r.rr.stepOnce(r.next, r.d, r.durable, r.snap); err != nil {
+	if err := r.rr.stepOnce(r.next); err != nil {
 		return err
 	}
 	r.next++
@@ -173,8 +169,14 @@ func (r *Runner) Abandon() {
 	r.abandonStore()
 }
 
-// Status is a cheap mid-run observability snapshot (the authoritative result
-// comes from Finish).
+// SetSafetySink routes the room supervisor's events to fn from the next Step
+// on; warm-up and recovery replay have already run. fn is called on the
+// goroutine that steps the room.
+func (r *Runner) SetSafetySink(fn func(safety.Event)) { r.rr.sup.SetSink(fn) }
+
+// RunnerStatus is a mid-run observability snapshot (the authoritative result
+// comes from Finish). Every counter is the room's running accumulator, so a
+// recovered room continues the counts its checkpoint and replay restored.
 type RunnerStatus struct {
 	Room      int     `json:"room"`
 	Name      string  `json:"name"`
@@ -182,16 +184,51 @@ type RunnerStatus struct {
 	Planned   int     `json:"planned"`
 	EnergyKWh float64 `json:"energy_kwh"`
 	MaxColdC  float64 `json:"max_cold_c"`
+	// Violations counts executed steps whose delivered cold-aisle maximum
+	// exceeded ColdLimitC; Interruptions those with cooling interrupted.
+	Violations    int `json:"violation_steps"`
+	Interruptions int `json:"interruption_steps"`
+
+	SafetyLevel    safety.Level `json:"safety_level"`
+	SafetyMaxLevel safety.Level `json:"safety_max_level"`
+	Escalations    uint64       `json:"escalations"`
+	Overrides      uint64       `json:"overrides"`
+	Quarantined    int          `json:"quarantined_sensors"`
+	// Decisions are the policy's own decision counters, for policies that
+	// keep them (TESLA); zero otherwise.
+	Decisions control.Diagnostics `json:"decisions"`
+
+	// Store is the room's WAL + snapshot accounting: zero without DataDir,
+	// the final flushed figures once Drain or Finish has closed the store.
+	Store store.Stats `json:"store"`
 }
 
-// Status snapshots the room's progress.
+// Status snapshots the room's progress. Like Step, it must not run
+// concurrently with the room's other Runner calls.
 func (r *Runner) Status() RunnerStatus {
-	return RunnerStatus{
-		Room:      r.rr.res.Room,
-		Name:      r.rr.res.Name,
-		Step:      r.next,
-		Planned:   r.rr.evalSteps,
-		EnergyKWh: r.rr.res.CEkWh,
-		MaxColdC:  r.rr.res.MaxCold,
+	rr := r.rr
+	sst := rr.sup.Stats()
+	st := RunnerStatus{
+		Room:           rr.res.Room,
+		Name:           rr.res.Name,
+		Step:           r.next,
+		Planned:        rr.evalSteps,
+		EnergyKWh:      rr.res.CEkWh,
+		MaxColdC:       rr.res.MaxCold,
+		Violations:     int(rr.res.TSVFrac),
+		Interruptions:  int(rr.res.CIFrac),
+		SafetyLevel:    rr.sup.Level(),
+		SafetyMaxLevel: rr.sup.MaxLevel(),
+		Escalations:    sst.Escalations,
+		Overrides:      sst.Overrides,
+		Quarantined:    len(rr.sup.Quarantined()),
+		Store:          rr.storeStats,
 	}
+	if d, ok := rr.pol.(interface{ Diagnostics() control.Diagnostics }); ok {
+		st.Decisions = d.Diagnostics()
+	}
+	if rr.st != nil {
+		st.Store = rr.st.Stats()
+	}
+	return st
 }

@@ -6,7 +6,6 @@ import (
 
 	"tesla/internal/fleet"
 	"tesla/internal/parallel"
-	"tesla/internal/testbed"
 	"tesla/internal/workload"
 )
 
@@ -154,9 +153,11 @@ func (h *Harness) Scheduler() *Scheduler { return h.sched }
 // Now is the simulation time of the next step barrier.
 func (h *Harness) Now() float64 { return h.runners[0].Plant().TimeS() }
 
-// LastSample exposes room i's delivered telemetry at the current barrier —
-// the same view the scheduler decides on — for operator endpoints.
-func (h *Harness) LastSample(i int) testbed.Sample { return h.runners[i].LastSample() }
+// Runner exposes room i's runner for operator endpoints. Between Step calls
+// the harness is quiescent, so its Status and LastSample (the delivered
+// telemetry the scheduler decides on) are safe to read; it must not be
+// stepped, drained or finished outside the harness.
+func (h *Harness) Runner(i int) *fleet.Runner { return h.runners[i] }
 
 // states gathers the per-room observations for the scheduler, in room-index
 // order, from each room's delivered telemetry.

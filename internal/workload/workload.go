@@ -39,6 +39,16 @@ func (s Setting) String() string {
 	}
 }
 
+// ParseSetting resolves a load setting by name (idle, medium or high).
+func ParseSetting(name string) (Setting, error) {
+	for _, s := range []Setting{Idle, Medium, High} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("workload: unknown load %q (idle|medium|high)", name)
+}
+
 // MeanUtil returns the 12-hour average CPU utilization the setting targets.
 func (s Setting) MeanUtil() float64 {
 	switch s {

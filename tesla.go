@@ -26,7 +26,6 @@ import (
 	"io"
 	"time"
 
-	"tesla/internal/control"
 	"tesla/internal/experiment"
 	"tesla/internal/workload"
 )
@@ -51,19 +50,6 @@ const (
 	LoadMedium Load = "medium" // 20 % average CPU over the 12-hour diurnal
 	LoadHigh   Load = "high"   // 40 % average CPU over the 12-hour diurnal
 )
-
-func (l Load) setting() (workload.Setting, error) {
-	switch l {
-	case LoadIdle:
-		return workload.Idle, nil
-	case LoadMedium:
-		return workload.Medium, nil
-	case LoadHigh:
-		return workload.High, nil
-	default:
-		return 0, fmt.Errorf("tesla: unknown load %q (idle|medium|high)", l)
-	}
-}
 
 // PolicyName selects a cooling-control policy.
 type PolicyName string
@@ -131,32 +117,15 @@ func PrepareWithBaselines(scale ScaleName, wantWang bool) (*System, error) {
 	return &System{art: art}, nil
 }
 
-// policy instantiates a named policy. TESLA controllers carry per-run state
-// (error monitor, smoothing buffer) and are created fresh for each run.
-func (s *System) policy(name PolicyName, seed uint64) (control.Policy, error) {
-	switch name {
-	case PolicyFixed:
-		return control.Fixed{SetpointC: 23}, nil
-	case PolicyTESLA:
-		return s.art.NewTESLAPolicy(seed)
-	case PolicyLazic:
-		return s.art.NewLazicPolicy()
-	case PolicyTSRL:
-		return s.art.TSRL, nil
-	default:
-		return nil, fmt.Errorf("tesla: unknown policy %q (fixed|tesla|lazic|tsrl)", name)
-	}
-}
-
 // Run executes one closed-loop experiment: the policy controls the simulated
 // testbed under the given diurnal load for the given duration (the paper
 // evaluates 12-hour windows).
 func (s *System) Run(p PolicyName, load Load, duration time.Duration, seed uint64) (Metrics, error) {
-	set, err := load.setting()
+	set, err := workload.ParseSetting(string(load))
 	if err != nil {
 		return Metrics{}, err
 	}
-	pol, err := s.policy(p, seed)
+	pol, err := s.art.NewPolicy(string(p), seed)
 	if err != nil {
 		return Metrics{}, err
 	}
