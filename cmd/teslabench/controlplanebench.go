@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http/httptest"
 	"os"
-	"sort"
 	"time"
 
 	"tesla/internal/control"
@@ -63,6 +62,14 @@ func (p *cpIntegratorPolicy) Restore(blob []byte) error {
 	return nil
 }
 
+// cpDeadAfter is how long the coordinator waits on a silent shard before
+// re-placing its rooms; it bounds failover latency from below. cpStepDelay
+// paces every room so the chaos lands while rooms are still in flight.
+const (
+	cpDeadAfter = 90 * time.Millisecond
+	cpStepDelay = 3 * time.Millisecond
+)
+
 // cpBenchFleetCfg is the sweep's fleet: n rooms, 30 warm-up + 60 evaluated
 // steps, checkpoint every 8 — the same CI-friendly horizon the control-plane
 // chaos tests use.
@@ -85,12 +92,12 @@ type cpCluster struct {
 	srvs     map[string]*httptest.Server
 }
 
-func startCPCluster(fcfg fleet.Config, roots map[string]string, delay time.Duration, fieldBus bool) (*cpCluster, error) {
+func startCPCluster(fcfg fleet.Config, roots map[string]string, fieldBus bool) (*cpCluster, error) {
 	rpc := controlplane.ClientOptions{Retries: 2, BackoffMin: 2 * time.Millisecond, BackoffMax: 20 * time.Millisecond, Timeout: 5 * time.Second}
 	coord, err := controlplane.NewCoordinator(controlplane.CoordinatorConfig{
 		Fleet:          fcfg,
 		SuspectAfter:   40 * time.Millisecond,
-		DeadAfter:      90 * time.Millisecond,
+		DeadAfter:      cpDeadAfter,
 		ReconcileEvery: 10 * time.Millisecond,
 		RPC:            rpc,
 	})
@@ -105,7 +112,7 @@ func startCPCluster(fcfg fleet.Config, roots map[string]string, delay time.Durat
 			ID:             id,
 			Fleet:          fcfg,
 			DataDir:        dir,
-			StepDelay:      delay,
+			StepDelay:      cpStepDelay,
 			Coordinator:    cl.coordSrv.URL,
 			HeartbeatEvery: 10 * time.Millisecond,
 			RPC:            rpc,
@@ -169,55 +176,36 @@ func verifyCPHashes(v controlplane.FleetView, want map[int]uint64) (int, error) 
 	return checked, nil
 }
 
-// cpDist summarizes a latency sample set in milliseconds.
-type cpDist struct {
-	Samples []float64 `json:"samples_ms"`
-	Min     float64   `json:"min_ms"`
-	P50     float64   `json:"p50_ms"`
-	P90     float64   `json:"p90_ms"`
-	Max     float64   `json:"max_ms"`
-	Mean    float64   `json:"mean_ms"`
+// cpBenchConfig sizes the control-plane chaos sweep. Every run sweeps both
+// the in-process shards and shards actuating over their own Modbus bus.
+type cpBenchConfig struct {
+	Rooms  int    `json:"rooms"`
+	Trials int    `json:"trials"`
+	Seed   uint64 `json:"seed"`
 }
 
-func summarize(samples []float64) cpDist {
-	d := cpDist{Samples: samples}
-	if len(samples) == 0 {
-		return d
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	q := func(p float64) float64 { return s[int(p*float64(len(s)-1)+0.5)] }
-	d.Min, d.Max, d.P50, d.P90 = s[0], s[len(s)-1], q(0.5), q(0.9)
-	for _, v := range s {
-		d.Mean += v
-	}
-	d.Mean /= float64(len(s))
-	return d
-}
+var defaultCPBench = cpBenchConfig{Rooms: 4, Trials: 5, Seed: 29}
 
-// cpBenchReport is the BENCH_controlplane.json schema.
-type cpBenchReport struct {
-	Generated  string `json:"generated"`
-	Rooms      int    `json:"rooms"`
-	Trials     int    `json:"trials"`
-	StepDelay  string `json:"step_delay"`
-	DeadAfter  string `json:"dead_after"`
-	Gateway    bool   `json:"gateway"`
-	Failover   cpDist `json:"failover"`
-	Migration  cpDist `json:"migration_pause"`
-	HashChecks int    `json:"trajectory_hash_checks"`
+// cpBenchRow is one latency distribution of the sweep: shard-kill failover
+// (kill → every room re-placed) or live-migration pause, per bus.
+type cpBenchRow struct {
+	Bus        string    `json:"bus"`
+	Event      string    `json:"event"`
+	SamplesMs  []float64 `json:"samples_ms"`
+	HashChecks int       `json:"trajectory_hash_checks"`
+	latencyCols
 }
 
 // failoverTrial boots a two-shard shared-root cluster, kills the loaded
 // shard mid-flight and measures kill → every one of its rooms re-placed on
 // the survivor. Returns the failover time and the number of hash checks.
-func failoverTrial(fcfg fleet.Config, delay time.Duration, fieldBus bool, want map[int]uint64) (float64, int, error) {
+func failoverTrial(fcfg fleet.Config, fieldBus bool, want map[int]uint64) (float64, int, error) {
 	dirA, err := os.MkdirTemp("", "cpbench-shared")
 	if err != nil {
 		return 0, 0, err
 	}
 	defer os.RemoveAll(dirA)
-	cl, err := startCPCluster(fcfg, map[string]string{"worker-a": dirA, "worker-b": dirA}, delay, fieldBus)
+	cl, err := startCPCluster(fcfg, map[string]string{"worker-a": dirA, "worker-b": dirA}, fieldBus)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -285,7 +273,7 @@ func failoverTrial(fcfg fleet.Config, delay time.Duration, fieldBus bool, want m
 // migrationTrial boots a two-shard distinct-root cluster and live-migrates
 // one in-flight room to the other shard, recording the control-plane pause
 // (drain barrier → stepping on the target).
-func migrationTrial(fcfg fleet.Config, delay time.Duration, fieldBus bool, want map[int]uint64) (float64, int, error) {
+func migrationTrial(fcfg fleet.Config, fieldBus bool, want map[int]uint64) (float64, int, error) {
 	dirA, err := os.MkdirTemp("", "cpbench-a")
 	if err != nil {
 		return 0, 0, err
@@ -296,7 +284,7 @@ func migrationTrial(fcfg fleet.Config, delay time.Duration, fieldBus bool, want 
 		return 0, 0, err
 	}
 	defer os.RemoveAll(dirB)
-	cl, err := startCPCluster(fcfg, map[string]string{"worker-a": dirA, "worker-b": dirB}, delay, fieldBus)
+	cl, err := startCPCluster(fcfg, map[string]string{"worker-a": dirA, "worker-b": dirB}, fieldBus)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -355,89 +343,70 @@ func migrationTrial(fcfg fleet.Config, delay time.Duration, fieldBus bool, want 
 	return rep.PauseMs, checks, err
 }
 
-// runControlplaneBench sweeps the sharded control plane under chaos: per
-// trial, one shard-kill failover (shared durable root) and one live
-// migration (distinct roots), each verified bit-identical against the
-// uninterrupted reference before its latency counts. Prints a table and
-// writes BENCH_controlplane.json.
-func runControlplaneBench(w io.Writer, rooms, trials int, fieldBus bool, outPath string) error {
-	const (
-		seed  = 29
-		delay = 3 * time.Millisecond
-	)
-	fcfg := cpBenchFleetCfg(rooms, seed)
-	if fieldBus {
-		// Shards actuate over Modbus registers; the reference must quantize
-		// identically or no hash could ever match.
-		fcfg.Quantize = modbus.QuantizeTempC
-	}
+// cpReference runs fcfg uninterrupted in one process and returns every
+// room's trajectory hash, the reference each trial must reproduce.
+func cpReference(fcfg fleet.Config) (map[int]uint64, error) {
 	ref, err := fleet.Run(fcfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	want := make(map[int]uint64, len(ref.Rooms))
 	for _, r := range ref.Rooms {
 		want[r.Room] = r.TrajectoryHash
 	}
+	return want, nil
+}
 
-	rep := cpBenchReport{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Rooms:     rooms, Trials: trials,
-		StepDelay: delay.String(), DeadAfter: "90ms",
-		Gateway: fieldBus,
-	}
-	mode := ""
-	if fieldBus {
-		mode = ", per-shard modbus field bus"
-	}
-	fmt.Fprintf(w, "control-plane chaos sweep: %d rooms, %d trials (heartbeat 10ms, dead after 90ms, step delay %v%s)\n", rooms, trials, delay, mode)
-
-	var failovers, migrations []float64
-	for i := 0; i < trials; i++ {
-		ms, checks, err := failoverTrial(fcfg, delay, fieldBus, want)
+// runControlplaneBench sweeps the sharded control plane under chaos, once
+// in process and once over per-shard Modbus field buses: per trial, one
+// shard-kill failover (shared durable root) and one live migration
+// (distinct roots), each verified bit-identical against the uninterrupted
+// reference before its latency counts.
+func runControlplaneBench(w io.Writer, c cpBenchConfig) ([]cpBenchRow, error) {
+	var rows []cpBenchRow
+	for _, fieldBus := range []bool{false, true} {
+		fcfg := cpBenchFleetCfg(c.Rooms, c.Seed)
+		bus := "inproc"
+		if fieldBus {
+			// Shards actuate over Modbus registers; the reference must
+			// quantize identically or no hash could ever match.
+			fcfg.Quantize = modbus.QuantizeTempC
+			bus = "modbus"
+		}
+		want, err := cpReference(fcfg)
 		if err != nil {
-			return fmt.Errorf("failover trial %d: %w", i, err)
+			return nil, err
 		}
-		failovers = append(failovers, ms)
-		rep.HashChecks += checks
-		fmt.Fprintf(w, "  trial %d: shard kill -> rooms re-placed in %8.1f ms (%d hashes verified)\n", i, ms, checks)
+		fmt.Fprintf(w, "control-plane chaos sweep, %s bus: %d rooms, %d trials (heartbeat 10ms, dead after %v, step delay %v)\n",
+			bus, c.Rooms, c.Trials, cpDeadAfter, cpStepDelay)
+		for _, ev := range []struct {
+			name  string
+			trial func(fleet.Config, bool, map[int]uint64) (float64, int, error)
+			verb  string
+		}{
+			{"failover", failoverTrial, "shard kill -> rooms re-placed in"},
+			{"migration_pause", migrationTrial, "live migration paused control for"},
+		} {
+			row := cpBenchRow{Bus: bus, Event: ev.name}
+			var lat []time.Duration
+			for i := 0; i < c.Trials; i++ {
+				ms, checks, err := ev.trial(fcfg, fieldBus, want)
+				if err != nil {
+					return nil, fmt.Errorf("%s bus %s trial %d: %w", bus, ev.name, i, err)
+				}
+				row.SamplesMs = append(row.SamplesMs, ms)
+				row.HashChecks += checks
+				lat = append(lat, time.Duration(ms*float64(time.Millisecond)))
+				fmt.Fprintf(w, "  trial %d: %s %8.1f ms (%d hashes verified)\n", i, ev.verb, ms, checks)
+			}
+			row.latencyCols = latencyOf(fleet.ComputeLatencyStats(lat))
+			rows = append(rows, row)
+		}
 	}
-	for i := 0; i < trials; i++ {
-		ms, checks, err := migrationTrial(fcfg, delay, fieldBus, want)
-		if err != nil {
-			return fmt.Errorf("migration trial %d: %w", i, err)
-		}
-		migrations = append(migrations, ms)
-		rep.HashChecks += checks
-		fmt.Fprintf(w, "  trial %d: live migration paused control for %8.1f ms (%d hashes verified)\n", i, ms, checks)
+	fmt.Fprintf(w, "\n  %-7s %-16s %8s %8s %8s %8s %7s\n", "bus", "event", "p50 ms", "p90 ms", "p99 ms", "max ms", "hashes")
+	for _, r := range rows {
+		ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+		fmt.Fprintf(w, "  %-7s %-16s %8.1f %8.1f %8.1f %8.1f %7d\n", r.Bus, r.Event, ms(r.P50Ns), ms(r.P90Ns), ms(r.P99Ns), ms(r.MaxNs), r.HashChecks)
 	}
-	rep.Failover = summarize(failovers)
-	rep.Migration = summarize(migrations)
-
-	fmt.Fprintf(w, "\n  %-18s %8s %8s %8s %8s %8s\n", "distribution", "min", "p50", "p90", "max", "mean")
-	for _, row := range []struct {
-		name string
-		d    cpDist
-	}{{"failover ms", rep.Failover}, {"migration pause ms", rep.Migration}} {
-		fmt.Fprintf(w, "  %-18s %8.1f %8.1f %8.1f %8.1f %8.1f\n", row.name, row.d.Min, row.d.P50, row.d.P90, row.d.Max, row.d.Mean)
-	}
-	fmt.Fprintf(w, "  %d trajectory hashes verified bit-identical to the uninterrupted reference\n", rep.HashChecks)
-
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  baseline written to %s\n", outPath)
-	}
-	return nil
+	return rows, nil
 }

@@ -1,17 +1,23 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"tesla/internal/control"
 	"tesla/internal/fleet"
 )
+
+// fleetBenchConfig sizes the rooms × workers sweep.
+type fleetBenchConfig struct {
+	Rooms        []int  `json:"rooms"`
+	Workers      []int  `json:"workers"`
+	StepsPerRoom int    `json:"steps_per_room"`
+	Seed         uint64 `json:"seed"`
+}
+
+var defaultFleetBench = fleetBenchConfig{Rooms: []int{1, 4, 16}, Workers: []int{1, 2, 4}, StepsPerRoom: 60, Seed: 13}
 
 // fleetBenchRow is one cell of the rooms × workers sweep.
 type fleetBenchRow struct {
@@ -21,24 +27,10 @@ type fleetBenchRow struct {
 
 	StepsPerSec float64 `json:"steps_per_sec"`
 	WallSeconds float64 `json:"wall_seconds"`
-
-	LatencyP50Ns int64 `json:"latency_p50_ns"`
-	LatencyP90Ns int64 `json:"latency_p90_ns"`
-	LatencyP99Ns int64 `json:"latency_p99_ns"`
-	LatencyMaxNs int64 `json:"latency_max_ns"`
+	latencyCols
 
 	SamplesIngested uint64 `json:"samples_ingested"`
 	SamplesDropped  uint64 `json:"samples_dropped"`
-}
-
-// fleetBenchReport is the BENCH_fleet.json schema — the throughput baseline
-// later PRs regress against.
-type fleetBenchReport struct {
-	Generated    string          `json:"generated"`
-	StepsPerRoom int             `json:"steps_per_room"`
-	Seed         uint64          `json:"seed"`
-	Policy       string          `json:"policy"`
-	Rows         []fleetBenchRow `json:"rows"`
 }
 
 // runFleetBench sweeps the fleet orchestrator over room × worker counts and
@@ -46,48 +38,28 @@ type fleetBenchReport struct {
 // the sweep measures orchestration, plant physics and the telemetry pipeline
 // — not controller inference; BenchmarkFleetStep and the experiment fleet
 // scenario cover the TESLA-policy path.
-func runFleetBench(w io.Writer, roomsSpec, workersSpec string, stepsPerRoom int, seed uint64, outPath string) error {
-	roomCounts, err := parseCounts(roomsSpec)
-	if err != nil {
-		return fmt.Errorf("-fleetrooms: %w", err)
-	}
-	workerCounts, err := parseCounts(workersSpec)
-	if err != nil {
-		return fmt.Errorf("-fleetworkers: %w", err)
-	}
-	if stepsPerRoom < 1 {
-		return fmt.Errorf("-fleetminutes must be >= 1, got %d", stepsPerRoom)
-	}
-
-	rep := fleetBenchReport{
-		Generated:    time.Now().UTC().Format(time.RFC3339),
-		StepsPerRoom: stepsPerRoom,
-		Seed:         seed,
-		Policy:       "seeded-fixed",
-	}
-	fmt.Fprintf(w, "fleet orchestrator sweep: %d steps/room, seed %d, seeded fixed policy\n", stepsPerRoom, seed)
+func runFleetBench(w io.Writer, c fleetBenchConfig) ([]fleetBenchRow, error) {
+	var rows []fleetBenchRow
+	fmt.Fprintf(w, "fleet orchestrator sweep: %d steps/room, seed %d, seeded fixed policy\n", c.StepsPerRoom, c.Seed)
 	fmt.Fprintf(w, "  %5s %7s %7s %10s %9s %9s %9s %8s\n",
 		"rooms", "workers", "steps", "steps/s", "p50", "p99", "max", "dropped")
-	for _, rooms := range roomCounts {
-		for _, workers := range workerCounts {
-			cfg := fleet.DefaultConfig(rooms, seed, benchPolicy)
+	for _, rooms := range c.Rooms {
+		for _, workers := range c.Workers {
+			cfg := fleet.DefaultConfig(rooms, c.Seed, benchPolicy)
 			cfg.WarmupS = 1800
-			cfg.EvalS = float64(stepsPerRoom) * cfg.Testbed.SamplePeriodS
+			cfg.EvalS = float64(c.StepsPerRoom) * cfg.Testbed.SamplePeriodS
 			cfg.Workers = workers
 			res, err := fleet.Run(cfg)
 			if err != nil {
-				return fmt.Errorf("fleet bench rooms=%d workers=%d: %w", rooms, workers, err)
+				return nil, fmt.Errorf("rooms=%d workers=%d: %w", rooms, workers, err)
 			}
-			rep.Rows = append(rep.Rows, fleetBenchRow{
+			rows = append(rows, fleetBenchRow{
 				Rooms:           rooms,
 				Workers:         workers,
 				Steps:           res.TotalSteps,
 				StepsPerSec:     res.StepsPerSec,
 				WallSeconds:     res.WallSeconds,
-				LatencyP50Ns:    res.Latency.P50.Nanoseconds(),
-				LatencyP90Ns:    res.Latency.P90.Nanoseconds(),
-				LatencyP99Ns:    res.Latency.P99.Nanoseconds(),
-				LatencyMaxNs:    res.Latency.Max.Nanoseconds(),
+				latencyCols:     latencyOf(res.Latency),
 				SamplesIngested: res.Rollup.Samples,
 				SamplesDropped:  res.Rollup.Dropped,
 			})
@@ -97,23 +69,7 @@ func runFleetBench(w io.Writer, roomsSpec, workersSpec string, stepsPerRoom int,
 				res.Latency.Max.Round(time.Microsecond), res.Rollup.Dropped)
 		}
 	}
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  baseline written to %s\n", outPath)
-	}
-	return nil
+	return rows, nil
 }
 
 // benchPolicy is the sweep's per-room policy: a fixed set-point perturbed by
@@ -121,24 +77,4 @@ func runFleetBench(w io.Writer, roomsSpec, workersSpec string, stepsPerRoom int,
 // cost.
 func benchPolicy(room int, seed uint64) (control.Policy, error) {
 	return control.Fixed{SetpointC: 22.8 + float64(seed%64)/128}, nil
-}
-
-// parseCounts parses a comma-separated list of positive ints ("1,4,16").
-func parseCounts(spec string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad count %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list %q", spec)
-	}
-	return out, nil
 }

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,6 +12,15 @@ import (
 	"tesla/internal/modbus"
 )
 
+// gatewayBenchConfig sizes the devices × in-flight window sweep.
+type gatewayBenchConfig struct {
+	Devices         []int `json:"devices"`
+	Windows         []int `json:"in_flight_windows"`
+	OpsPerGenerator int   `json:"ops_per_generator"`
+}
+
+var defaultGatewayBench = gatewayBenchConfig{Devices: []int{250, 1000}, Windows: []int{4, 16}, OpsPerGenerator: 20}
+
 // gatewayBenchRow is one cell of the devices × in-flight window sweep.
 type gatewayBenchRow struct {
 	Devices    int `json:"devices"`
@@ -21,6 +28,7 @@ type gatewayBenchRow struct {
 	Generators int `json:"generators_per_device"`
 
 	Attempts  uint64 `json:"attempts"`
+	Submitted uint64 `json:"submitted"`
 	Completed uint64 `json:"completed"`
 	Failed    uint64 `json:"failed"`
 	Dropped   uint64 `json:"dropped"`
@@ -30,19 +38,19 @@ type gatewayBenchRow struct {
 	WireReads    uint64 `json:"wire_reads"`
 	MergedReads  uint64 `json:"merged_reads"`
 
-	ReqPerSec    float64 `json:"req_per_sec"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	LatencyP50Ns int64   `json:"latency_p50_ns"`
-	LatencyP99Ns int64   `json:"latency_p99_ns"`
-	LatencyMaxNs int64   `json:"latency_max_ns"`
+	ReqPerSec   float64 `json:"req_per_sec"`
+	WallSeconds float64 `json:"wall_seconds"`
+	latencyCols
 }
 
-// gatewayBenchReport is the BENCH_gateway.json schema — the actuation-path
-// baseline later PRs regress against.
-type gatewayBenchReport struct {
-	Generated string            `json:"generated"`
-	OpsPerGen int               `json:"ops_per_generator"`
-	Rows      []gatewayBenchRow `json:"rows"`
+// ledger checks the cell's exact accounting: every attempt was submitted or
+// dropped at the window, and every submission completed or failed.
+func (r gatewayBenchRow) ledger() error {
+	if r.Submitted+r.Dropped != r.Attempts || r.Submitted != r.Completed+r.Failed {
+		return fmt.Errorf("accounting mismatch: attempts %d, submitted %d, completed %d, failed %d, dropped %d",
+			r.Attempts, r.Submitted, r.Completed, r.Failed, r.Dropped)
+	}
+	return nil
 }
 
 // runGatewayBench drives gateway + Modbus server pairs to saturation: every
@@ -50,57 +58,26 @@ type gatewayBenchReport struct {
 // from window-exceeding generators, and injects a mass disconnect on a
 // tenth of the fleet mid-run — so the numbers include reconnect storms and
 // window rejections, not just the sunny path.
-func runGatewayBench(w io.Writer, devicesSpec, windowsSpec string, opsPerGen int, outPath string) error {
-	devCounts, err := parseCounts(devicesSpec)
-	if err != nil {
-		return fmt.Errorf("-gwdevices: %w", err)
-	}
-	winCounts, err := parseCounts(windowsSpec)
-	if err != nil {
-		return fmt.Errorf("-gwwindows: %w", err)
-	}
-	if opsPerGen < 1 {
-		return fmt.Errorf("-gwops must be >= 1, got %d", opsPerGen)
-	}
-
-	rep := gatewayBenchReport{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		OpsPerGen: opsPerGen,
-	}
-	fmt.Fprintf(w, "ACU gateway sweep: %d ops/generator, mass disconnect on 1/10 of devices mid-cell\n", opsPerGen)
+func runGatewayBench(w io.Writer, c gatewayBenchConfig) ([]gatewayBenchRow, error) {
+	var rows []gatewayBenchRow
+	fmt.Fprintf(w, "ACU gateway sweep: %d ops/generator, mass disconnect on 1/10 of devices mid-cell\n", c.OpsPerGenerator)
 	fmt.Fprintf(w, "  %7s %6s %8s %10s %9s %9s %8s %10s %8s\n",
 		"devices", "window", "attempts", "req/s", "p50", "p99", "dropped", "reconnects", "merged")
-	for _, devices := range devCounts {
-		for _, window := range winCounts {
-			row, err := runGatewayCell(devices, window, opsPerGen)
+	for _, devices := range c.Devices {
+		for _, window := range c.Windows {
+			row, err := runGatewayCell(devices, window, c.OpsPerGenerator)
 			if err != nil {
-				return fmt.Errorf("gateway bench devices=%d window=%d: %w", devices, window, err)
+				return nil, fmt.Errorf("devices=%d window=%d: %w", devices, window, err)
 			}
-			rep.Rows = append(rep.Rows, row)
+			rows = append(rows, row)
 			fmt.Fprintf(w, "  %7d %6d %8d %10.0f %9s %9s %8d %10d %8d\n",
 				devices, window, row.Attempts, row.ReqPerSec,
-				time.Duration(row.LatencyP50Ns).Round(time.Microsecond),
-				time.Duration(row.LatencyP99Ns).Round(time.Microsecond),
+				time.Duration(row.P50Ns).Round(time.Microsecond),
+				time.Duration(row.P99Ns).Round(time.Microsecond),
 				row.Dropped, row.Reconnects, row.MergedReads)
 		}
 	}
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  baseline written to %s\n", outPath)
-	}
-	return nil
+	return rows, nil
 }
 
 // runGatewayCell measures one devices × window cell.
@@ -203,10 +180,10 @@ func runGatewayCell(devices, window, opsPerGen int) (gatewayBenchRow, error) {
 	for lats := range latCh {
 		all = append(all, lats...)
 	}
-	ls := fleet.ComputeLatencyStats(all)
 	gs := gw.Stats()
 
 	row.Attempts = attempts.Load()
+	row.Submitted = gs.Submitted
 	row.Completed = gs.Completed
 	row.Failed = gs.Failed
 	row.Dropped = gs.Dropped
@@ -218,15 +195,7 @@ func runGatewayCell(devices, window, opsPerGen int) (gatewayBenchRow, error) {
 	if wall > 0 {
 		row.ReqPerSec = float64(gs.Completed) / wall.Seconds()
 	}
-	row.LatencyP50Ns = ls.P50.Nanoseconds()
-	row.LatencyP99Ns = ls.P99.Nanoseconds()
-	row.LatencyMaxNs = ls.Max.Nanoseconds()
-
-	// Exactness is an acceptance criterion, not a hope: every attempt is
-	// accounted for as completed, failed, or dropped.
-	if gs.Submitted+gs.Dropped != row.Attempts || gs.Submitted != gs.Completed+gs.Failed {
-		return row, fmt.Errorf("accounting mismatch: attempts %d, submitted %d, completed %d, failed %d, dropped %d",
-			row.Attempts, gs.Submitted, gs.Completed, gs.Failed, gs.Dropped)
-	}
-	return row, nil
+	row.latencyCols = latencyOf(fleet.ComputeLatencyStats(all))
+	// Exactness is an acceptance criterion, not a hope.
+	return row, row.ledger()
 }

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -15,18 +13,34 @@ import (
 	"tesla/internal/telemetry"
 )
 
-// The -ingest harness drives the telemetry ingest pipeline at production
-// volume and writes BENCH_ingest.json. Every row carries its own exactness
-// verdict: the harness does not just measure, it asserts the pipeline's
-// ledgers — attempts == ingested + dropped at the ingest layer, inserted ==
-// raw + compacted at the storage layer, received + gaps == resume point per
-// subscription, and bit-identical downsampled tiers — and fails the run if
-// any of them break under load.
+// The ingest harness drives the telemetry ingest pipeline at production
+// volume. Every row carries its own exactness verdict: the harness does not
+// just measure, it asserts the pipeline's ledgers — attempts == ingested +
+// dropped at the ingest layer, inserted == raw + compacted at the storage
+// layer, received + gaps == resume point per subscription, and bit-identical
+// downsampled tiers — and fails the run if any of them break under load.
+
+// ingestBenchConfig sizes each stage of the ingest harness.
+type ingestBenchConfig struct {
+	AppendSamples uint64 `json:"append_samples"`
+	// MinAppendPerSec is the append-path throughput floor; a slower run
+	// fails the harness.
+	MinAppendPerSec  float64 `json:"min_append_per_sec"`
+	WireBatches      int     `json:"wire_batches"`
+	WireBatchLines   int     `json:"wire_batch_lines"`
+	SubscribeRecords uint64  `json:"subscribe_records"`
+}
+
+var defaultIngestBench = ingestBenchConfig{
+	AppendSamples: 4_000_000, MinAppendPerSec: 1e6,
+	WireBatches: 2000, WireBatchLines: 512, SubscribeRecords: 100_000,
+}
 
 // ingestAppendRow is the headline: sustained single-core append throughput
 // through pre-resolved series refs with the compactor folding tiers the
-// whole time, peak heap sampled concurrently.
+// whole time, peak heap sampled concurrently, and the run's ledger.
 type ingestAppendRow struct {
+	Stage         string  `json:"stage"`
 	Series        int     `json:"series"`
 	Samples       uint64  `json:"samples"`
 	Seconds       float64 `json:"seconds"`
@@ -35,11 +49,40 @@ type ingestAppendRow struct {
 	Compactions   uint64  `json:"compactions"`
 	RawCompacted  uint64  `json:"raw_compacted"`
 	RawLive       int     `json:"raw_live"`
+
+	Attempts    uint64 `json:"attempts"`
+	Ingested    uint64 `json:"ingested"`
+	Dropped     uint64 `json:"dropped"`
+	Inserted    uint64 `json:"inserted"`
+	LateDropped uint64 `json:"late_dropped"`
+	LedgersOK   bool   `json:"ledgers_ok"`
+}
+
+// ledger checks the append run's accounting at the ingest and storage
+// layers and across them, and that the compactor was active throughout.
+func (r ingestAppendRow) ledger() error {
+	if r.Attempts != r.Ingested+r.Dropped || r.Attempts != r.Samples {
+		return fmt.Errorf("append ledger broken: attempts %d ingested %d dropped %d (samples %d)",
+			r.Attempts, r.Ingested, r.Dropped, r.Samples)
+	}
+	if r.Inserted != uint64(r.RawLive)+r.RawCompacted {
+		return fmt.Errorf("tsdb ledger broken: inserted %d != raw %d + compacted %d",
+			r.Inserted, r.RawLive, r.RawCompacted)
+	}
+	if r.Inserted+r.LateDropped != r.Ingested {
+		return fmt.Errorf("cross-layer ledger broken: inserted %d + late %d != sink ingested %d",
+			r.Inserted, r.LateDropped, r.Ingested)
+	}
+	if r.Compactions == 0 || r.RawCompacted == 0 {
+		return fmt.Errorf("compactor idle during append run: %d compactions, %d raw folded", r.Compactions, r.RawCompacted)
+	}
+	return nil
 }
 
 // ingestWireRow is the wire-decode path: line-protocol batches through
 // IngestBatch, the route HTTP-posted samples take.
 type ingestWireRow struct {
+	Stage       string  `json:"stage"`
 	BatchLines  int     `json:"batch_lines"`
 	Lines       uint64  `json:"lines"`
 	LinesPerSec float64 `json:"lines_per_sec"`
@@ -48,6 +91,7 @@ type ingestWireRow struct {
 // ingestSubscribeRow is the streaming path end to end over loopback TCP:
 // publisher → delta ring → subscriber → sink → TSDB.
 type ingestSubscribeRow struct {
+	Stage         string  `json:"stage"`
 	Published     uint64  `json:"published"`
 	Received      uint64  `json:"received"`
 	Gaps          uint64  `json:"seq_gaps"`
@@ -58,19 +102,11 @@ type ingestSubscribeRow struct {
 // ingestDownsampleRow records the bit-identity check: tiers produced by the
 // compactor vs the same aggregation recomputed from the raw stream.
 type ingestDownsampleRow struct {
-	RawPoints     int  `json:"raw_points"`
-	MinuteBuckets int  `json:"minute_buckets"`
-	HourBuckets   int  `json:"hour_buckets"`
-	BitIdentical  bool `json:"bit_identical"`
-}
-
-type ingestBenchReport struct {
-	Generated  string              `json:"generated"`
-	Append     ingestAppendRow     `json:"append"`
-	Wire       ingestWireRow       `json:"wire"`
-	Subscribe  ingestSubscribeRow  `json:"subscribe"`
-	Downsample ingestDownsampleRow `json:"downsample"`
-	LedgersOK  bool                `json:"ledgers_ok"`
+	Stage         string `json:"stage"`
+	RawPoints     int    `json:"raw_points"`
+	MinuteBuckets int    `json:"minute_buckets"`
+	HourBuckets   int    `json:"hour_buckets"`
+	BitIdentical  bool   `json:"bit_identical"`
 }
 
 // ingestRetention compresses the tiers so compaction is continuously active
@@ -146,6 +182,7 @@ func runIngestAppend(samples uint64, nSeries int) (ingestAppendRow, error) {
 	stopHeap()
 
 	row := ingestAppendRow{
+		Stage:         "append",
 		Series:        nSeries,
 		Samples:       samples,
 		Seconds:       elapsed,
@@ -156,26 +193,12 @@ func runIngestAppend(samples uint64, nSeries int) (ingestAppendRow, error) {
 	row.Compactions = st.Compactions
 	row.RawCompacted = st.RawCompacted
 	row.RawLive = st.RawPoints
-
-	attempts, ingested, dropped := sink.Counts()
-	if attempts != ingested+dropped || attempts != samples {
-		return row, fmt.Errorf("append ledger broken: attempts %d ingested %d dropped %d (samples %d)",
-			attempts, ingested, dropped, samples)
+	row.Attempts, row.Ingested, row.Dropped = sink.Counts()
+	row.Inserted, row.LateDropped = st.Inserted, st.LateDropped
+	if err := row.ledger(); err != nil {
+		return row, err
 	}
-	if st.Inserted != uint64(st.RawPoints)+st.RawCompacted {
-		return row, fmt.Errorf("tsdb ledger broken: inserted %d != raw %d + compacted %d",
-			st.Inserted, st.RawPoints, st.RawCompacted)
-	}
-	if st.Inserted+st.LateDropped != ingested {
-		return row, fmt.Errorf("cross-layer ledger broken: inserted %d + late %d != sink ingested %d",
-			st.Inserted, st.LateDropped, ingested)
-	}
-	if st.Compactions == 0 || st.RawCompacted == 0 {
-		return row, fmt.Errorf("compactor idle during append run: %+v", st)
-	}
-	if row.SamplesPerSec < 1e6 {
-		return row, fmt.Errorf("append path sustained %.0f samples/s, want >= 1e6", row.SamplesPerSec)
-	}
+	row.LedgersOK = true
 	return row, nil
 }
 
@@ -201,6 +224,7 @@ func runIngestWire(batches int, batchLines int) (ingestWireRow, error) {
 		return ingestWireRow{}, fmt.Errorf("wire ledger broken: %d/%d/%d for %d lines", attempts, ingested, dropped, lines)
 	}
 	return ingestWireRow{
+		Stage:       "wire",
 		BatchLines:  batchLines,
 		Lines:       lines,
 		LinesPerSec: float64(lines) / elapsed,
@@ -243,6 +267,7 @@ func runIngestSubscribe(records uint64) (ingestSubscribeRow, error) {
 
 	s := in.SubStats()[0]
 	row := ingestSubscribeRow{
+		Stage:         "subscribe",
 		Published:     records,
 		Received:      s.Received,
 		Gaps:          s.Gaps,
@@ -284,7 +309,7 @@ func runIngestDownsample(n int) (ingestDownsampleRow, error) {
 
 	got := db.QueryAgg(telemetry.TierMinute, "ds", map[string]string{"sensor": "0"}, -math.MaxFloat64, math.MaxFloat64)
 	gotHour := db.QueryAgg(telemetry.TierHour, "ds", map[string]string{"sensor": "0"}, -math.MaxFloat64, math.MaxFloat64)
-	row := ingestDownsampleRow{RawPoints: n, MinuteBuckets: len(got), HourBuckets: len(gotHour)}
+	row := ingestDownsampleRow{Stage: "downsample", RawPoints: n, MinuteBuckets: len(got), HourBuckets: len(gotHour)}
 
 	// Recompute the minute tier from the raw stream, in time order.
 	cut := math.Floor((nowS-rc.RawWindowS)/rc.MinuteS) * rc.MinuteS
@@ -357,53 +382,38 @@ func runIngestDownsample(n int) (ingestDownsampleRow, error) {
 	return row, nil
 }
 
-// runIngestBench runs every section and writes the JSON baseline.
-func runIngestBench(w io.Writer, samples uint64, outPath string) error {
-	fmt.Fprintf(w, "ingest pipeline benchmarks (%d append samples)\n\n", samples)
-	rep := ingestBenchReport{Generated: time.Now().UTC().Format(time.RFC3339)}
-	var err error
-
-	if rep.Append, err = runIngestAppend(samples, 64); err != nil {
-		return err
+// runIngestBench runs every stage and returns one row per stage.
+func runIngestBench(w io.Writer, c ingestBenchConfig) ([]any, error) {
+	fmt.Fprintf(w, "ingest pipeline benchmarks (%d append samples)\n\n", c.AppendSamples)
+	app, err := runIngestAppend(c.AppendSamples, 64)
+	if err != nil {
+		return nil, err
+	}
+	if app.SamplesPerSec < c.MinAppendPerSec {
+		return nil, fmt.Errorf("append path sustained %.0f samples/s, want >= %.0f", app.SamplesPerSec, c.MinAppendPerSec)
 	}
 	fmt.Fprintf(w, "  append    %8.0f samples/s  (%d series, peak heap %.1f MB, %d compactions, %d raw folded)\n",
-		rep.Append.SamplesPerSec, rep.Append.Series, rep.Append.PeakHeapMB, rep.Append.Compactions, rep.Append.RawCompacted)
+		app.SamplesPerSec, app.Series, app.PeakHeapMB, app.Compactions, app.RawCompacted)
 
-	if rep.Wire, err = runIngestWire(2000, 512); err != nil {
-		return err
+	wire, err := runIngestWire(c.WireBatches, c.WireBatchLines)
+	if err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(w, "  wire      %8.0f lines/s    (%d-line batches)\n", rep.Wire.LinesPerSec, rep.Wire.BatchLines)
+	fmt.Fprintf(w, "  wire      %8.0f lines/s    (%d-line batches)\n", wire.LinesPerSec, wire.BatchLines)
 
-	if rep.Subscribe, err = runIngestSubscribe(100_000); err != nil {
-		return err
+	sub, err := runIngestSubscribe(c.SubscribeRecords)
+	if err != nil {
+		return nil, err
 	}
 	fmt.Fprintf(w, "  subscribe %8.0f records/s  (loopback, %d records, %d gaps, %d resubscribes)\n",
-		rep.Subscribe.RecordsPerSec, rep.Subscribe.Published, rep.Subscribe.Gaps, rep.Subscribe.Resubscribes)
+		sub.RecordsPerSec, sub.Published, sub.Gaps, sub.Resubscribes)
 
-	if rep.Downsample, err = runIngestDownsample(50_000); err != nil {
-		return err
+	ds, err := runIngestDownsample(50_000)
+	if err != nil {
+		return nil, err
 	}
 	fmt.Fprintf(w, "  tiers     bit-identical over %d raw points (%d minute, %d hour buckets)\n",
-		rep.Downsample.RawPoints, rep.Downsample.MinuteBuckets, rep.Downsample.HourBuckets)
-
-	rep.LedgersOK = true
-	fmt.Fprintf(w, "  ledgers   exact at every layer\n\n")
-
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "baseline written to %s\n", outPath)
-	}
-	return nil
+		ds.RawPoints, ds.MinuteBuckets, ds.HourBuckets)
+	fmt.Fprintf(w, "  ledgers   exact at every layer\n")
+	return []any{app, wire, sub, ds}, nil
 }

@@ -7,11 +7,8 @@
 //	teslabench -all                      # every table and figure
 //	teslabench -table 5 -hours 12        # just Table 5
 //	teslabench -fig 3 -out figures/      # Figure 3 + CSV export
-//	teslabench -fleet                    # fleet orchestrator sweep + BENCH_fleet.json
-//	teslabench -bo                       # BO surrogate hot-path benchmarks + BENCH_bo.json
-//	teslabench -wal                      # durable-store benchmarks + BENCH_wal.json
-//	teslabench -controlplane             # control-plane chaos sweep + BENCH_controlplane.json
-//	teslabench -ingest                   # telemetry ingest pipeline + BENCH_ingest.json
+//	teslabench -bench all                # every benchmark harness → BENCH_<name>.json
+//	teslabench -bench fleet,scheduler    # selected harnesses
 package main
 
 import (
@@ -37,106 +34,29 @@ func main() {
 	out := flag.String("out", "", "directory for figure CSV exports")
 	report := flag.String("report", "", "write a markdown evaluation report (tables + ablations + fault matrix) to this path")
 	faultMatrix := flag.Bool("faultmatrix", false, "run the fault-matrix sweep (supervised TESLA vs every fault class)")
-	fleetBench := flag.Bool("fleet", false, "sweep the fleet orchestrator over room × worker counts")
-	fleetRooms := flag.String("fleetrooms", "1,4,16", "comma-separated room counts for -fleet")
-	fleetWorkers := flag.String("fleetworkers", "1,2,4", "comma-separated worker counts for -fleet")
-	fleetMinutes := flag.Int("fleetminutes", 60, "evaluated control steps per room for -fleet")
-	benchOut := flag.String("benchout", "BENCH_fleet.json", "JSON baseline path for -fleet (empty disables)")
-	boBench := flag.Bool("bo", false, "benchmark the BO surrogate hot path (fit/posterior/acquisition/optimize)")
-	boOut := flag.String("boout", "BENCH_bo.json", "JSON baseline path for -bo (empty disables)")
-	walBench := flag.Bool("wal", false, "benchmark the durable store (WAL append, snapshot write, recovery)")
-	walOut := flag.String("walout", "BENCH_wal.json", "JSON baseline path for -wal (empty disables)")
-	gwBench := flag.Bool("gateway", false, "drive the ACU gateway to saturation (devices × in-flight window sweep)")
-	gwDevices := flag.String("gwdevices", "250,1000", "comma-separated device counts for -gateway")
-	gwWindows := flag.String("gwwindows", "4,16", "comma-separated in-flight windows for -gateway")
-	gwOps := flag.Int("gwops", 20, "requests per generator per cell for -gateway")
-	gwOut := flag.String("gwout", "BENCH_gateway.json", "JSON baseline path for -gateway (empty disables)")
-	ingestBench := flag.Bool("ingest", false, "drive the telemetry ingest pipeline (append path, wire decode, streaming subscribe, tier identity)")
-	ingestSamples := flag.Uint64("ingestsamples", 4_000_000, "append-path samples for -ingest")
-	ingestOut := flag.String("ingestout", "BENCH_ingest.json", "JSON baseline path for -ingest (empty disables)")
-	cpBench := flag.Bool("controlplane", false, "chaos-sweep the sharded control plane (shard-kill failover + live migration latencies)")
-	cpRooms := flag.Int("cprooms", 4, "fleet size for -controlplane")
-	cpTrials := flag.Int("cptrials", 5, "failover and migration trials for -controlplane")
-	cpGateway := flag.Bool("cpgateway", false, "run -controlplane trials with per-shard Modbus field buses (wire-actuated rooms, seq hand-off on migration)")
-	cpOut := flag.String("cpout", "BENCH_controlplane.json", "JSON baseline path for -controlplane (empty disables)")
-	schedBench := flag.Bool("scheduler", false, "sweep the fleet job scheduler (rooms × policy × mode) with a joint-objective non-regression gate")
-	schedRooms := flag.String("schedrooms", "3,6", "comma-separated room counts for -scheduler")
-	schedMinutes := flag.Int("schedminutes", 30, "evaluated control steps per room for -scheduler")
-	schedOut := flag.String("schedout", "BENCH_scheduler.json", "JSON baseline path for -scheduler (empty disables)")
+	bench := flag.String("bench", "", "run benchmark harnesses and write BENCH_<name>.json to the working directory: all or any of "+benchNames())
 	flag.Parse()
 
-	if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix && !*fleetBench && !*boBench && !*walBench && !*gwBench && !*cpBench && !*ingestBench && !*schedBench {
+	paper := *all || *table != 0 || *fig != 0 || *report != "" || *faultMatrix
+	if !paper && *bench == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// The scheduler sweep uses training-free policies; run standalone.
-	if *schedBench {
-		if err := runSchedBench(os.Stdout, *schedRooms, *schedMinutes, 13, *schedOut); err != nil {
+	// The harnesses need no trained models; run them before the (expensive)
+	// table/figure pipeline spins up.
+	if *bench != "" {
+		sel, err := selectBenchmarks(*bench)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "teslabench:", err)
-			os.Exit(1)
+			os.Exit(2)
 		}
-		if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix && !*fleetBench && !*boBench && !*walBench && !*gwBench && !*cpBench && !*ingestBench {
-			return
+		for _, b := range sel {
+			if _, err := runBench(os.Stdout, ".", b); err != nil {
+				fmt.Fprintf(os.Stderr, "teslabench: %s: %v\n", b.name, err)
+				os.Exit(1)
+			}
 		}
-	}
-	// The ingest pipeline harness needs no trained models; run standalone.
-	if *ingestBench {
-		if err := runIngestBench(os.Stdout, *ingestSamples, *ingestOut); err != nil {
-			fmt.Fprintln(os.Stderr, "teslabench:", err)
-			os.Exit(1)
-		}
-		if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix && !*fleetBench && !*boBench && !*walBench && !*gwBench && !*cpBench {
-			return
-		}
-	}
-	// The control-plane chaos sweep needs no trained models; run standalone.
-	if *cpBench {
-		if err := runControlplaneBench(os.Stdout, *cpRooms, *cpTrials, *cpGateway, *cpOut); err != nil {
-			fmt.Fprintln(os.Stderr, "teslabench:", err)
-			os.Exit(1)
-		}
-		if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix && !*fleetBench && !*boBench && !*walBench && !*gwBench {
-			return
-		}
-	}
-	// The gateway load harness needs no trained models; run standalone.
-	if *gwBench {
-		if err := runGatewayBench(os.Stdout, *gwDevices, *gwWindows, *gwOps, *gwOut); err != nil {
-			fmt.Fprintln(os.Stderr, "teslabench:", err)
-			os.Exit(1)
-		}
-		if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix && !*fleetBench && !*boBench && !*walBench {
-			return
-		}
-	}
-	// The durable-store benchmarks need no trained models; run standalone.
-	if *walBench {
-		if err := runWALBench(os.Stdout, *walOut); err != nil {
-			fmt.Fprintln(os.Stderr, "teslabench:", err)
-			os.Exit(1)
-		}
-		if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix && !*fleetBench && !*boBench {
-			return
-		}
-	}
-	// The surrogate benchmarks need no trained models either; run standalone.
-	if *boBench {
-		if err := runBOBench(os.Stdout, *boOut); err != nil {
-			fmt.Fprintln(os.Stderr, "teslabench:", err)
-			os.Exit(1)
-		}
-		if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix && !*fleetBench {
-			return
-		}
-	}
-	// The fleet sweep needs no trained models; run it standalone before the
-	// (expensive) table/figure pipeline spins up.
-	if *fleetBench {
-		if err := runFleetBench(os.Stdout, *fleetRooms, *fleetWorkers, *fleetMinutes, 13, *benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "teslabench:", err)
-			os.Exit(1)
-		}
-		if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix {
+		if !paper {
 			return
 		}
 	}

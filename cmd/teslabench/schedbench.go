@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"time"
 
 	"tesla/internal/experiment"
 	"tesla/internal/fleet"
@@ -37,13 +34,37 @@ type schedBenchRow struct {
 	Completed  int    `json:"completed"`
 }
 
-// schedBenchReport is the BENCH_scheduler.json schema — the scheduler
-// throughput and joint-objective baseline later PRs regress against.
-type schedBenchReport struct {
-	Generated    string          `json:"generated"`
-	StepsPerRoom int             `json:"steps_per_room"`
-	Seed         uint64          `json:"seed"`
-	Rows         []schedBenchRow `json:"rows"`
+// schedBenchConfig sizes the rooms × policy × mode sweep.
+type schedBenchConfig struct {
+	Rooms        []int  `json:"rooms"`
+	StepsPerRoom int    `json:"steps_per_room"`
+	Seed         uint64 `json:"seed"`
+}
+
+var defaultSchedBench = schedBenchConfig{Rooms: []int{3, 6}, StepsPerRoom: 30, Seed: 13}
+
+// schedJointCheck is the sweep's non-regression gate: within every
+// (rooms, policy) group the full scheduler must not score worse on the joint
+// objective than no scheduler.
+func schedJointCheck(rows []schedBenchRow) error {
+	type group struct {
+		rooms  int
+		policy string
+	}
+	none := map[group]float64{}
+	for _, r := range rows {
+		if r.Mode == scheduler.ModeNone.String() {
+			none[group{r.Rooms, r.Policy}] = r.JointScore
+		}
+	}
+	for _, r := range rows {
+		base, ok := none[group{r.Rooms, r.Policy}]
+		if r.Mode == scheduler.ModeFull.String() && (!ok || r.JointScore > base) {
+			return fmt.Errorf("REGRESSION: rooms=%d policy=%s full joint %.3f worse than none %.3f",
+				r.Rooms, r.Policy, r.JointScore, base)
+		}
+	}
+	return nil
 }
 
 // runSchedBench sweeps the fleet scheduler over rooms × policy × mode. The
@@ -53,39 +74,26 @@ type schedBenchReport struct {
 // (rooms, policy) group the full scheduler must not score worse than no
 // scheduler — a broken placement heuristic fails the bench, not just a
 // later diff of the JSON.
-func runSchedBench(w io.Writer, roomsSpec string, stepsPerRoom int, seed uint64, outPath string) error {
-	roomCounts, err := parseCounts(roomsSpec)
-	if err != nil {
-		return fmt.Errorf("-schedrooms: %w", err)
-	}
-	if stepsPerRoom < 2 {
-		return fmt.Errorf("-schedminutes must be >= 2, got %d", stepsPerRoom)
-	}
-
-	rep := schedBenchReport{
-		Generated:    time.Now().UTC().Format(time.RFC3339),
-		StepsPerRoom: stepsPerRoom,
-		Seed:         seed,
-	}
-	policies := []string{"fixed", "modelfree"}
+func runSchedBench(w io.Writer, c schedBenchConfig) ([]schedBenchRow, error) {
+	var rows []schedBenchRow
 	modes := []scheduler.Mode{scheduler.ModeNone, scheduler.ModeDefer, scheduler.ModeFull}
 
-	fmt.Fprintf(w, "fleet scheduler sweep: %d steps/room, seed %d, training-free policies\n", stepsPerRoom, seed)
+	fmt.Fprintf(w, "fleet scheduler sweep: %d steps/room, seed %d, training-free policies\n", c.StepsPerRoom, c.Seed)
 	fmt.Fprintf(w, "  %5s %-10s %-6s %7s %10s %9s %8s %7s %6s %6s %5s\n",
 		"rooms", "policy", "mode", "steps", "steps/s", "CE(kWh)", "tTSV(%)", "joint", "Δ(%)", "defer", "migr")
-	for _, rooms := range roomCounts {
-		for _, policy := range policies {
+	for _, rooms := range c.Rooms {
+		for _, policy := range []string{"fixed", "modelfree"} {
 			factory, err := experiment.PolicyFactory(policy, nil)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			var noneJoint float64
 			for _, mode := range modes {
-				evalS := float64(stepsPerRoom) * 60
+				evalS := float64(c.StepsPerRoom) * 60
 				fc := fleet.Config{
 					Testbed:    testbed.DefaultConfig(),
-					Rooms:      experiment.TiledSpecs(rooms, seed),
-					Seed:       seed,
+					Rooms:      experiment.TiledSpecs(rooms, c.Seed),
+					Seed:       c.Seed,
 					WarmupS:    600,
 					EvalS:      evalS,
 					InitSpC:    23,
@@ -98,7 +106,7 @@ func runSchedBench(w io.Writer, roomsSpec string, stepsPerRoom int, seed uint64,
 					Jobs:  experiment.ScaledSchedJobs(rooms, evalS),
 				})
 				if err != nil {
-					return fmt.Errorf("scheduler bench rooms=%d policy=%s mode=%s: %w", rooms, policy, mode, err)
+					return nil, fmt.Errorf("rooms=%d policy=%s mode=%s: %w", rooms, policy, mode, err)
 				}
 				row := schedBenchRow{
 					Rooms: rooms, Policy: policy, Mode: mode.String(),
@@ -121,36 +129,13 @@ func runSchedBench(w io.Writer, roomsSpec string, stepsPerRoom int, seed uint64,
 						row.JointDeltaPct = 100 * (res.JointScore - noneJoint) / noneJoint
 					}
 				}
-				rep.Rows = append(rep.Rows, row)
+				rows = append(rows, row)
 				fmt.Fprintf(w, "  %5d %-10s %-6s %7d %10.0f %9.2f %8.2f %7.2f %+6.1f %6d %5d\n",
 					rooms, policy, mode, res.TotalSteps, res.StepsPerSec, res.CoolingKWh,
 					100*res.TrueTSVFrac, res.JointScore, row.JointDeltaPct,
 					res.Sched.Deferrals, res.Sched.MigrationsTotal())
-
-				// In-harness non-regression gate.
-				if mode == scheduler.ModeFull && res.JointScore > noneJoint {
-					return fmt.Errorf(
-						"scheduler bench REGRESSION: rooms=%d policy=%s full joint %.3f worse than none %.3f",
-						rooms, policy, res.JointScore, noneJoint)
-				}
 			}
 		}
 	}
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  baseline written to %s\n", outPath)
-	}
-	return nil
+	return rows, schedJointCheck(rows)
 }

@@ -255,7 +255,7 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		writeDurabilityMetrics(w, s.Durability)
 	}
 	if d.gw != nil {
-		writeGatewayMetrics(w, d.gw.Stats())
+		d.gw.Stats().WriteMetrics(w, "")
 	}
 	if d.ing != nil {
 		writeIngestMetrics(w, d.ing.Stats())
@@ -282,13 +282,31 @@ func (d *daemon) handleFleetMetrics(w http.ResponseWriter, _ *http.Request) {
 	for lvl, n := range r.SafetyLevels {
 		fmt.Fprintf(w, "tesla_fleet_safety_level_steps_total{level=\"%d\"} %d\n", lvl, n)
 	}
-	for _, rs := range d.snapshot() {
-		fmt.Fprintf(w, "tesla_room_setpoint_celsius{room=%q} %g\n", rs.Name, rs.SetpointC)
-		fmt.Fprintf(w, "tesla_room_max_cold_aisle_celsius{room=%q} %g\n", rs.Name, rs.MaxColdC)
-		fmt.Fprintf(w, "tesla_room_safety_level{room=%q} %d\n", rs.Name, levelOrdinal(rs.SafetyLevel))
-		fmt.Fprintf(w, "tesla_room_step_minutes{room=%q} %d\n", rs.Name, rs.StepMinutes)
-	}
+	writeRoomFamilies(w, d.snapshot(),
+		roomFamily{"tesla_room_setpoint_celsius", "gauge", func(rs roomStatus) any { return rs.SetpointC }},
+		roomFamily{"tesla_room_max_cold_aisle_celsius", "gauge", func(rs roomStatus) any { return rs.MaxColdC }},
+		roomFamily{"tesla_room_safety_level", "gauge", func(rs roomStatus) any { return levelOrdinal(rs.SafetyLevel) }},
+		roomFamily{"tesla_room_step_minutes", "counter", func(rs roomStatus) any { return rs.StepMinutes }},
+	)
 	d.writeEventMetrics(w)
+}
+
+// roomFamily is one per-room metric family: its name, Prometheus type, and
+// each room's value (a float64 renders as %g, an int as %d).
+type roomFamily struct {
+	name, typ string
+	val       func(roomStatus) any
+}
+
+// writeRoomFamilies writes each family as one typed group with a sample per
+// room, labelled by room name.
+func writeRoomFamilies(w io.Writer, rooms []roomStatus, families ...roomFamily) {
+	for _, f := range families {
+		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
+		for _, rs := range rooms {
+			fmt.Fprintf(w, "%s{room=%q} %v\n", f.name, rs.Name, f.val(rs))
+		}
+	}
 }
 
 // writeEventMetrics exposes the safety event log's per-kind counts and its
@@ -322,23 +340,6 @@ func writeDurabilityMetrics(w io.Writer, ds durStatus) {
 	fmt.Fprintf(w, "# TYPE tesla_snapshot_last_bytes gauge\ntesla_snapshot_last_bytes %d\n", ds.LastBytes)
 	fmt.Fprintf(w, "# TYPE tesla_recovered_steps gauge\ntesla_recovered_steps %d\n", ds.RecoveredSteps)
 	fmt.Fprintf(w, "# TYPE tesla_replay_mismatches gauge\ntesla_replay_mismatches %d\n", ds.ReplayMism)
-}
-
-// writeGatewayMetrics exposes the ACU gateway's health — the actuation-path
-// counters an operator alerts on (drops, reconnects, dial failures).
-func writeGatewayMetrics(w io.Writer, gs gateway.Stats) {
-	fmt.Fprintf(w, "# TYPE tesla_gateway_devices gauge\ntesla_gateway_devices %d\n", gs.Devices)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_connected gauge\ntesla_gateway_connected %d\n", gs.Connected)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_in_flight gauge\ntesla_gateway_in_flight %d\n", gs.InFlight)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_requests_total counter\ntesla_gateway_requests_total %d\n", gs.Submitted)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_completed_total counter\ntesla_gateway_completed_total %d\n", gs.Completed)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_failed_total counter\ntesla_gateway_failed_total %d\n", gs.Failed)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_dropped_total counter\ntesla_gateway_dropped_total %d\n", gs.Dropped)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_reconnects_total counter\ntesla_gateway_reconnects_total %d\n", gs.Reconnects)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_dial_failures_total counter\ntesla_gateway_dial_failures_total %d\n", gs.DialFailures)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_wire_reads_total counter\ntesla_gateway_wire_reads_total %d\n", gs.WireReads)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_merged_reads_total counter\ntesla_gateway_merged_reads_total %d\n", gs.MergedReads)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_writes_total counter\ntesla_gateway_writes_total %d\n", gs.Writes)
 }
 
 // levelOrdinal maps the supervisor stage name back to its numeric ordinal for

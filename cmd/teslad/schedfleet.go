@@ -78,17 +78,14 @@ func (sd *schedDaemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE tesla_sched_running_jobs gauge\ntesla_sched_running_jobs %d\n", c.RunningJobs)
 	fmt.Fprintf(w, "# TYPE tesla_sched_completed_jobs gauge\ntesla_sched_completed_jobs %d\n", c.CompletedJobs)
 	fmt.Fprintf(w, "# TYPE tesla_sched_mean_wait_seconds gauge\ntesla_sched_mean_wait_seconds %g\n", jobs.MeanWaitS)
-	fmt.Fprintf(w, "# TYPE tesla_sched_room_queue_depth gauge\n")
-	for _, rs := range rooms {
-		fmt.Fprintf(w, "tesla_sched_room_queue_depth{room=%q} %d\n", rs.Name, rs.QueueDepth)
-	}
-	for _, rs := range rooms {
-		fmt.Fprintf(w, "tesla_room_setpoint_celsius{room=%q} %g\n", rs.Name, rs.SetpointC)
-		fmt.Fprintf(w, "tesla_room_max_cold_aisle_celsius{room=%q} %g\n", rs.Name, rs.MaxColdC)
-		fmt.Fprintf(w, "tesla_room_acu_duty{room=%q} %g\n", rs.Name, rs.ACUDuty)
-		fmt.Fprintf(w, "tesla_room_it_power_kw{room=%q} %g\n", rs.Name, rs.ITPowerKW)
-		fmt.Fprintf(w, "tesla_room_cooling_energy_kwh{room=%q} %g\n", rs.Name, rs.EnergyKWh)
-	}
+	writeRoomFamilies(w, rooms,
+		roomFamily{"tesla_sched_room_queue_depth", "gauge", func(rs roomStatus) any { return rs.QueueDepth }},
+		roomFamily{"tesla_room_setpoint_celsius", "gauge", func(rs roomStatus) any { return rs.SetpointC }},
+		roomFamily{"tesla_room_max_cold_aisle_celsius", "gauge", func(rs roomStatus) any { return rs.MaxColdC }},
+		roomFamily{"tesla_room_acu_duty", "gauge", func(rs roomStatus) any { return rs.ACUDuty }},
+		roomFamily{"tesla_room_it_power_kw", "gauge", func(rs roomStatus) any { return rs.ITPowerKW }},
+		roomFamily{"tesla_room_cooling_energy_kwh", "counter", func(rs roomStatus) any { return rs.EnergyKWh }},
+	)
 }
 
 // writeSchedMigrations emits the migration counter with its reason label.

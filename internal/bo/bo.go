@@ -389,15 +389,6 @@ func (a *acqDraws) split(k, nObs int) (zObjObs, zObjCand, zConObs, zConCand []fl
 	return row[:nObs], row[a.maxObs:conObs], row[conObs : conObs+nObs], row[conCand:]
 }
 
-// Acquire scores the NEI acquisition over cands from freshly generated QMC
-// draws — the standalone form of the acquisition used inside Optimize,
-// exported for benchmarks and tools (teslabench -bo).
-func Acquire(objGP, conGP *gp.GP, cands []float64, nSamples, workers int, seed uint64) []float64 {
-	r := rng.New(seed)
-	draws := newAcqDraws(objGP.NumObs(), len(cands), nSamples, r)
-	return acquireNEI(objGP, conGP, cands, draws, nSamples, workers)
-}
-
 // pickNext selects the acquisition maximizer that is not within tol of an
 // existing evaluation.
 func pickNext(acq, cands []float64, evals []Evaluation, tol float64) (float64, bool) {

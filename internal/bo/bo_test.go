@@ -227,7 +227,8 @@ func TestAcquireNEIParallelBitIdentical(t *testing.T) {
 	}
 	cands := linspace(20, 35, 61)
 	score := func(workers int) []float64 {
-		return Acquire(objGP, conGP, cands, 64, workers, 77)
+		draws := newAcqDraws(len(evals), len(cands), 64, rng.New(77))
+		return acquireNEI(objGP, conGP, cands, draws, 64, workers)
 	}
 	ref := score(1)
 	for _, workers := range []int{2, 5, 8, 0} {

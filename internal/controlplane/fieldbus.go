@@ -2,7 +2,6 @@ package controlplane
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"tesla/internal/gateway"
@@ -89,23 +88,4 @@ func (f *fieldBus) close() (seqs []uint64, roll telemetry.Rollup) {
 		f.srv.Close()
 	})
 	return f.seqs, f.roll
-}
-
-// writeGatewayMetrics emits the tesla_gateway_* series for one stats
-// snapshot — the same names the single-room daemon exposes, with an
-// optional label block ({shard="..."} on shards, none on the coordinator's
-// fleet-wide sum).
-func writeGatewayMetrics(w io.Writer, labels string, gs gateway.Stats) {
-	fmt.Fprintf(w, "# TYPE tesla_gateway_devices gauge\ntesla_gateway_devices%s %d\n", labels, gs.Devices)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_connected gauge\ntesla_gateway_connected%s %d\n", labels, gs.Connected)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_in_flight gauge\ntesla_gateway_in_flight%s %d\n", labels, gs.InFlight)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_requests_total counter\ntesla_gateway_requests_total%s %d\n", labels, gs.Submitted)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_completed_total counter\ntesla_gateway_completed_total%s %d\n", labels, gs.Completed)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_failed_total counter\ntesla_gateway_failed_total%s %d\n", labels, gs.Failed)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_dropped_total counter\ntesla_gateway_dropped_total%s %d\n", labels, gs.Dropped)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_reconnects_total counter\ntesla_gateway_reconnects_total%s %d\n", labels, gs.Reconnects)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_dial_failures_total counter\ntesla_gateway_dial_failures_total%s %d\n", labels, gs.DialFailures)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_wire_reads_total counter\ntesla_gateway_wire_reads_total%s %d\n", labels, gs.WireReads)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_merged_reads_total counter\ntesla_gateway_merged_reads_total%s %d\n", labels, gs.MergedReads)
-	fmt.Fprintf(w, "# TYPE tesla_gateway_writes_total counter\ntesla_gateway_writes_total%s %d\n", labels, gs.Writes)
 }

@@ -872,7 +872,7 @@ func (s *Shard) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE tesla_shard_fenced_rooms_total counter\ntesla_shard_fenced_rooms_total{shard=%q} %d\n", s.cfg.ID, fenced)
 	fmt.Fprintf(w, "# TYPE tesla_shard_heartbeat_failures_total counter\ntesla_shard_heartbeat_failures_total{shard=%q} %d\n", s.cfg.ID, fails)
 	if s.gw != nil {
-		writeGatewayMetrics(w, fmt.Sprintf("{shard=%q}", s.cfg.ID), s.gw.Stats())
+		s.gw.Stats().WriteMetrics(w, fmt.Sprintf("{shard=%q}", s.cfg.ID))
 		fr := s.FieldRollup()
 		fmt.Fprintf(w, "# TYPE tesla_shard_field_samples_total counter\ntesla_shard_field_samples_total{shard=%q} %d\n", s.cfg.ID, fr.Samples)
 		fmt.Fprintf(w, "# TYPE tesla_shard_field_seq_gaps_total counter\ntesla_shard_field_seq_gaps_total{shard=%q} %d\n", s.cfg.ID, fr.Gaps)

@@ -56,7 +56,7 @@ func HeterogeneousSpecs(seed uint64) []fleet.RoomSpec {
 
 // TiledSpecs tiles the study's room archetypes (standard / weak / large) out
 // to n rooms with distinct seed streams — the same shapes as
-// HeterogeneousSpecs, at arbitrary scale. teslabench -scheduler and
+// HeterogeneousSpecs, at arbitrary scale. teslabench -bench scheduler and
 // teslad -scheduler both build their fleets from this.
 func TiledSpecs(n int, seed uint64) []fleet.RoomSpec {
 	loads := []workload.Setting{workload.Medium, workload.High, workload.Medium}

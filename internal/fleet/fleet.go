@@ -406,9 +406,8 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // ComputeLatencyStats computes percentiles over per-operation wall
-// latencies (sorting d in place). Exported so other load harnesses — the
-// gateway bench in particular — report quantiles with the same estimator
-// the fleet orchestrator uses.
+// latencies (sorting d in place). Exported so every teslabench harness
+// reports quantiles with the same estimator the fleet orchestrator uses.
 func ComputeLatencyStats(d []time.Duration) LatencyStats {
 	if len(d) == 0 {
 		return LatencyStats{}

@@ -25,6 +25,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 )
@@ -243,4 +244,21 @@ type Stats struct {
 	WireReads    uint64 `json:"wire_reads"`
 	MergedReads  uint64 `json:"merged_reads"`
 	Writes       uint64 `json:"writes"`
+}
+
+// WriteMetrics writes s as the tesla_gateway_* Prometheus series, with
+// labels (`{shard="a"}`, or "" for none) appended to every sample name.
+func (s Stats) WriteMetrics(w io.Writer, labels string) {
+	fmt.Fprintf(w, "# TYPE tesla_gateway_devices gauge\ntesla_gateway_devices%s %d\n", labels, s.Devices)
+	fmt.Fprintf(w, "# TYPE tesla_gateway_connected gauge\ntesla_gateway_connected%s %d\n", labels, s.Connected)
+	fmt.Fprintf(w, "# TYPE tesla_gateway_in_flight gauge\ntesla_gateway_in_flight%s %d\n", labels, s.InFlight)
+	fmt.Fprintf(w, "# TYPE tesla_gateway_requests_total counter\ntesla_gateway_requests_total%s %d\n", labels, s.Submitted)
+	fmt.Fprintf(w, "# TYPE tesla_gateway_completed_total counter\ntesla_gateway_completed_total%s %d\n", labels, s.Completed)
+	fmt.Fprintf(w, "# TYPE tesla_gateway_failed_total counter\ntesla_gateway_failed_total%s %d\n", labels, s.Failed)
+	fmt.Fprintf(w, "# TYPE tesla_gateway_dropped_total counter\ntesla_gateway_dropped_total%s %d\n", labels, s.Dropped)
+	fmt.Fprintf(w, "# TYPE tesla_gateway_reconnects_total counter\ntesla_gateway_reconnects_total%s %d\n", labels, s.Reconnects)
+	fmt.Fprintf(w, "# TYPE tesla_gateway_dial_failures_total counter\ntesla_gateway_dial_failures_total%s %d\n", labels, s.DialFailures)
+	fmt.Fprintf(w, "# TYPE tesla_gateway_wire_reads_total counter\ntesla_gateway_wire_reads_total%s %d\n", labels, s.WireReads)
+	fmt.Fprintf(w, "# TYPE tesla_gateway_merged_reads_total counter\ntesla_gateway_merged_reads_total%s %d\n", labels, s.MergedReads)
+	fmt.Fprintf(w, "# TYPE tesla_gateway_writes_total counter\ntesla_gateway_writes_total%s %d\n", labels, s.Writes)
 }
